@@ -103,14 +103,6 @@ Rng Rng::Fork(uint64_t stream_id) {
   return Rng(Next() ^ (stream_id * 0x9e3779b97f4a7c15ULL + 0x7f4a7c15ULL));
 }
 
-Rng Rng::Fork(uint64_t path_hi, uint64_t path_lo) {
-  uint64_t s = path_hi;
-  uint64_t key = SplitMix64(&s);
-  s = key ^ path_lo;
-  key = SplitMix64(&s);
-  return Fork(key);
-}
-
 std::array<uint64_t, 6> Rng::SaveState() const {
   std::array<uint64_t, 6> state;
   for (int i = 0; i < 4; ++i) state[i] = state_[i];

@@ -58,12 +58,6 @@ class Rng {
   // of this generator's current state and `stream_id`.
   Rng Fork(uint64_t stream_id);
 
-  // Forks on a two-component path, e.g. (iteration, shard): the components
-  // are hash-combined through SplitMix64 before forking, so neighbouring
-  // paths land on well-separated streams and (a, b) never collides with
-  // (b, a) the way a plain XOR of the keys would.
-  Rng Fork(uint64_t path_hi, uint64_t path_lo);
-
   // The complete generator state as six words — the xoshiro state, the
   // cached-normal flag and the bit-cast cached normal — so a warm-resumed
   // run (checkpoint v3) continues the stream exactly where the saved run

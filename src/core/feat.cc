@@ -11,7 +11,6 @@
 #include "common/timer.h"
 #include "core/greedy_policy.h"
 #include "core/its.h"
-#include "core/sitp.h"
 #include "nn/workspace.h"
 #include "rl/episode_driver.h"
 
@@ -56,8 +55,6 @@ Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
   PF_CHECK(!seen_label_indices.empty());
 
   PF_CHECK_GE(config_.num_shards, 1);
-  PF_CHECK_GE(config_.shard_parallelism, 0);
-  PF_CHECK_GE(config_.replay_shards, 1);
   // The sharded collector runs each shard's own step-synchronous loop; the
   // legacy blocking path has no rendezvous to shard.
   PF_CHECK(config_.num_shards == 1 || config_.batched_inference);
@@ -65,16 +62,8 @@ Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
   // Episode collection shares the persistent process-wide pool (no thread
   // spawn/join per iteration); make sure it can deliver the configured
   // parallelism (the iteration's own thread is the extra executor). The
-  // shard fan-out wants one executor per shard unless shard_parallelism
-  // caps it lower.
-  int executors = config_.num_threads;
-  if (config_.num_shards > 1) {
-    const int shard_executors = config_.shard_parallelism > 0
-                                    ? std::min(config_.shard_parallelism,
-                                               config_.num_shards)
-                                    : config_.num_shards;
-    executors = std::max(executors, shard_executors);
-  }
+  // shard fan-out wants one executor per shard.
+  const int executors = std::max(config_.num_threads, config_.num_shards);
   if (executors > 1) {
     ThreadPool::EnsureGlobalWorkers(executors - 1);
   }
@@ -87,11 +76,7 @@ Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
   Rng agent_rng = rng_.Fork(0xa6e17);
   agent_ = std::make_unique<DqnAgent>(dqn, &agent_rng);
 
-  if (config_.success_prioritized_scheduling) {
-    scheduler_ = std::make_unique<SitpScheduler>();
-  } else {
-    scheduler_ = std::make_unique<UniformScheduler>();
-  }
+  scheduler_ = std::make_unique<UniformScheduler>();
 }
 
 int Feat::AddTask(int label_index) {
@@ -104,8 +89,6 @@ int Feat::AddTask(int label_index) {
       config_.max_feature_ratio, config_.reward_mode);
   ReplayConfig replay;
   replay.capacity_transitions = config_.replay_capacity;
-  replay.num_shards = config_.replay_shards;
-  replay.prioritized = config_.prioritized_replay;
   replay.byte_budget = ResolveReplayBudgetBytes(config_.replay_budget_bytes);
   runtime.buffer = std::make_unique<ReplayBuffer>(replay);
   tasks_.push_back(std::move(runtime));
@@ -259,9 +242,10 @@ void Feat::CollectEpisodesBatched(
     // Phase 3 (parallel): environment steps + reward shaping. Each worker
     // touches only its own driver; the reward cache behind the shared
     // evaluator is locked.
-    // Under CollectEpisodesSharded this runs inline on the shard's worker
+    // With several collector shards this runs inline on the shard's worker
     // by design: determinism is per-shard, parallelism comes from the outer
-    // shard loop (the blessed fan-out idiom).
+    // shard loop (the blessed fan-out idiom). A single shard runs on the
+    // caller, so the steps fan out here.
     // lint: allow(pool-reentrancy): shard fan-out degrades inline by design
     ThreadPool::Global()->ParallelFor(
         static_cast<int>(live.size()), num_threads, [&](int i) {
@@ -305,11 +289,10 @@ void Feat::CollectEpisodesSharded(
   // pure function of the plan's position, and planning itself already
   // happened serially on the root stream — so both the episode set and
   // every per-episode RNG stream are shard-count-invariant by construction.
-  std::vector<ShardPlan> shards(num_shards);
-  for (int s = 0; s < num_shards; ++s) shards[s].shard_id = s;
+  std::vector<std::vector<int>> shard_plan_indices(num_shards);
   for (int i = 0; i < static_cast<int>(plans.size()); ++i) {
     const int shard = ShardOfEpisode(iteration_index_, i, num_shards);
-    shards[shard].plan_indices.push_back(i);
+    shard_plan_indices[shard].push_back(i);
   }
 
   // Shard-local accumulators, merged only after the fan-out barrier below —
@@ -317,23 +300,20 @@ void Feat::CollectEpisodesSharded(
   // state while collecting, so finish order cannot influence the merge.
   std::vector<std::vector<Trajectory>> shard_trajectories(num_shards);
   std::vector<std::vector<std::vector<int>>> shard_actions(num_shards);
-  const int executors =
-      config_.shard_parallelism > 0
-          ? std::min(config_.shard_parallelism, num_shards)
-          : num_shards;
-  ThreadPool::Global()->ParallelFor(num_shards, executors, [&](int s) {
-    const ShardPlan& shard = shards[s];
-    const int count = static_cast<int>(shard.plan_indices.size());
+  ThreadPool::Global()->ParallelFor(num_shards, num_shards, [&](int s) {
+    const std::vector<int>& plan_indices = shard_plan_indices[s];
+    const int count = static_cast<int>(plan_indices.size());
     shard_trajectories[s].resize(count);
     shard_actions[s].resize(count);
     if (count == 0) return;
     std::vector<const EpisodePlan*> shard_plans;
     shard_plans.reserve(count);
-    for (int index : shard.plan_indices) shard_plans.push_back(&plans[index]);
-    // Nested ParallelFor calls run inline on this worker, so within-shard
-    // parallelism is 1 by construction; the fan-out above is the
-    // parallelism.
-    CollectEpisodesBatched(shard_plans, /*num_threads=*/1,
+    for (int index : plan_indices) shard_plans.push_back(&plans[index]);
+    // A single shard runs inline on the caller, so its environment steps
+    // still fan out over num_threads. With several shards this call runs on
+    // a pool task, where the nested ParallelFor degrades inline and the
+    // shard fan-out above is the parallelism.
+    CollectEpisodesBatched(shard_plans, config_.num_threads,
                            &shard_trajectories[s], &shard_actions[s]);
   });
 
@@ -341,8 +321,8 @@ void Feat::CollectEpisodesSharded(
   // land back at their global plan indices, so the commit loop that follows
   // sees exactly the single-shard layout.
   for (int s = 0; s < num_shards; ++s) {
-    for (int j = 0; j < static_cast<int>(shards[s].plan_indices.size()); ++j) {
-      const int index = shards[s].plan_indices[j];
+    for (int j = 0; j < static_cast<int>(shard_plan_indices[s].size()); ++j) {
+      const int index = shard_plan_indices[s][j];
       (*trajectories)[index] = std::move(shard_trajectories[s][j]);
       (*episode_actions)[index] = std::move(shard_actions[s][j]);
     }
@@ -372,31 +352,14 @@ IterationStats Feat::RunIteration() {
   IterationStats stats;
 
   // --- Buffer Filling Phase (Algorithm 1 lines 4-18) ---
-  // The per-shard RNG streams fork off a fresh root-seeded generator (not
-  // rng_) on the (iteration, shard) path: scheduler draws must not advance
-  // the planning stream, or num_shards would leak into later iterations'
-  // plans. The clamp matches the collection fan-out below, so a scheduler
-  // sees exactly the streams the shards it schedules for will use.
   const int num_episodes = config_.envs_per_iteration;
   const int num_shards =
       std::max(1, std::min(config_.num_shards, num_episodes));
-  std::vector<Rng> shard_streams;
-  shard_streams.reserve(num_shards);
-  Rng shard_root(config_.seed);
-  for (int s = 0; s < num_shards; ++s) {
-    shard_streams.push_back(
-        shard_root.Fork(iteration_index_, static_cast<uint64_t>(s)));
-  }
-
   if (focus_slot_ >= 0) {
     PF_CHECK_LT(focus_slot_, num_tasks());
     last_probabilities_.assign(tasks_.size(), 0.0);
     last_probabilities_[focus_slot_] = 1.0;
   } else {
-    std::vector<Rng*> stream_ptrs;
-    stream_ptrs.reserve(shard_streams.size());
-    for (Rng& stream : shard_streams) stream_ptrs.push_back(&stream);
-    scheduler_->BeginIteration(stream_ptrs);
     last_probabilities_ = scheduler_->Probabilities(tasks_);
   }
   PF_CHECK_EQ(last_probabilities_.size(), tasks_.size());
@@ -422,16 +385,8 @@ IterationStats Feat::RunIteration() {
 
   std::vector<Trajectory> trajectories(num_episodes);
   std::vector<std::vector<int>> episode_actions(num_episodes);
-  const int num_threads =
-      std::max(1, std::min(config_.num_threads, num_episodes));
-  if (num_shards > 1) {
+  if (config_.batched_inference) {
     CollectEpisodesSharded(plans, num_shards, &trajectories,
-                           &episode_actions);
-  } else if (config_.batched_inference) {
-    std::vector<const EpisodePlan*> plan_ptrs;
-    plan_ptrs.reserve(num_episodes);
-    for (const EpisodePlan& plan : plans) plan_ptrs.push_back(&plan);
-    CollectEpisodesBatched(plan_ptrs, num_threads, &trajectories,
                            &episode_actions);
   } else {
     // Legacy blocking path, kept as the reference for equivalence tests.
@@ -440,9 +395,10 @@ IterationStats Feat::RunIteration() {
     // regardless of which pool thread runs which episode. ParallelFor
     // degrades to an inline loop at max_parallelism 1, so the serial case
     // shares this code instead of a duplicated body.
-    ThreadPool::Global()->ParallelFor(num_episodes, num_threads, [&](int i) {
-      trajectories[i] = RunEpisode(plans[i], &episode_actions[i]);
-    });
+    ThreadPool::Global()->ParallelFor(
+        num_episodes, config_.num_threads, [&](int i) {
+          trajectories[i] = RunEpisode(plans[i], &episode_actions[i]);
+        });
   }
 
   for (int i = 0; i < num_episodes; ++i) {
@@ -719,6 +675,11 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
     return fail("training state was saved for a different task list");
   }
   const uint32_t words = (num_features + 63) / 64;
+  // A stored scan position indexes the task representation when a batch is
+  // materialized, and TrainBatch aborts on an action outside {0, 1}.
+  const auto position_ok = [&](int32_t position) {
+    return position >= 0 && position <= static_cast<int32_t>(num_features);
+  };
   for (SeenTaskRuntime& task : tasks_) {
     const int32_t label_index = in->I32();
     if (!in->ok() || label_index != task.label_index) {
@@ -755,8 +716,15 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
         transition.action = in->I32();
         transition.reward = in->F32();
         transition.done = in->U8() != 0;
+        if (!in->ok()) return fail("truncated training state (replay)");
+        if (!position_ok(transition.state.position) ||
+            !position_ok(transition.next_state.position)) {
+          return fail("corrupt training state (replay scan position)");
+        }
+        if (transition.action < 0 || transition.action >= kNumActions) {
+          return fail("corrupt training state (replay action)");
+        }
       }
-      if (!in->ok()) return fail("truncated training state (replay)");
       task.buffer->AddTrajectory(std::move(trajectory), priority);
     }
     const uint32_t entry_count = in->U32();

@@ -53,27 +53,14 @@ struct FeatConfig {
   // stream (the episode set and per-episode RNG streams never depend on the
   // shard count), every draw during collection comes from an episode's own
   // stream, and batched Q rows match at any batch composition by kernel
-  // construction. num_shards = 1 keeps the single-replica path
-  // byte-identical; num_shards > 1 requires batched_inference.
-  // shard_parallelism caps the executors of the shard fan-out
-  // (0 = one per shard); the constructor grows the pool accordingly.
+  // construction. A single shard fans its environment steps out over
+  // num_threads; num_shards > 1 requires batched_inference.
   int num_shards = 1;
-  int shard_parallelism = 0;
   // Bounded experience-memory plane (DESIGN.md "Bounded memory plane"):
-  // every task buffer B^k becomes a sharded trajectory store with
-  // `replay_shards` shards (training is bit-identical at any shard count),
-  // optionally priority-weighted sampling by episode return, and a byte
-  // budget resolved through ResolveReplayBudgetBytes (> 0 bytes, 0 explicit
-  // unlimited, < 0 the process-default chain; --replay_budget_mb).
-  int replay_shards = 1;
-  bool prioritized_replay = false;
+  // every task buffer B^k gets a byte budget resolved through
+  // ResolveReplayBudgetBytes (> 0 bytes, 0 explicit unlimited, < 0 the
+  // process-default chain; --replay_budget_mb).
   long long replay_budget_bytes = kMemoryBudgetDefault;
-  // Success-induced task prioritization (arXiv 2301.00691) as the scheduler
-  // default instead of uniform: tasks whose recent success rate moved the
-  // most get more episodes, with exploration nominations drawn from the
-  // reserved per-shard RNG streams. An ablation alternative to the ITS —
-  // PaFeatConfig::use_its still overrides whatever the Feat default is.
-  bool success_prioritized_scheduling = false;
   int recent_returns_window = 32;
   DqnConfig dqn;                 // dqn.net.input_dim is filled automatically
   uint64_t seed = 7;
@@ -99,15 +86,6 @@ struct SeenTaskRuntime {
 class TaskScheduler {
  public:
   virtual ~TaskScheduler() = default;
-  // Called once per iteration before Probabilities (skipped in focus mode)
-  // with the iteration's reserved per-shard RNG streams — forked on the
-  // (iteration, shard) path off a fresh root-seeded generator, so a
-  // scheduler that draws from them cannot perturb the planning stream.
-  // Streams a scheduler does not consume leave training bit-identical to a
-  // run without the hook. The default consumes nothing.
-  virtual void BeginIteration(const std::vector<Rng*>& shard_streams) {
-    (void)shard_streams;
-  }
   virtual std::vector<double> Probabilities(
       const std::vector<SeenTaskRuntime>& tasks) = 0;
 };
@@ -282,8 +260,8 @@ class Feat {
   // replay trajectories with their priorities, and the reward-cache
   // contents. Restore requires a freshly constructed Feat over the same
   // problem and task list; it returns false with a reason in `error` on any
-  // mismatch. A restored run's RunIteration sequence is bit-identical to
-  // the uninterrupted run's.
+  // mismatch or out-of-range field. A restored run's RunIteration sequence
+  // is bit-identical to the uninterrupted run's.
   void SerializeTrainingState(ByteWriter* out) const;
   bool RestoreTrainingState(ByteReader* in, std::string* error);
 
@@ -311,17 +289,6 @@ class Feat {
     Rng rng{0};
   };
 
-  // One collector shard of an iteration's buffer-filling phase: the subset
-  // of plan indices assigned by ShardOfEpisode. The per-shard RNG streams
-  // (forked from the root seed on the (iteration, shard id) path) are owned
-  // by RunIteration and handed to TaskScheduler::BeginIteration — e.g. the
-  // success-prioritized scheduler's exploration nominations — never to the
-  // collection itself.
-  struct ShardPlan {
-    int shard_id = 0;
-    std::vector<int> plan_indices;
-  };
-
   Trajectory RunEpisode(const EpisodePlan& plan,
                         std::vector<int>* full_actions);
   // Step-synchronous execution of the given planned episodes: per step, a
@@ -332,11 +299,13 @@ class Feat {
                               int num_threads,
                               std::vector<Trajectory>* trajectories,
                               std::vector<std::vector<int>>* episode_actions);
-  // Sharded buffer-filling phase: partitions `plans` into ShardPlans, runs
-  // each shard's CollectEpisodesBatched concurrently on the global pool,
-  // then merges the shard-local accumulators in (shard id, plan index)
-  // order — results are byte-equal regardless of which shard finishes
-  // first because no shard touches shared mutable state while collecting.
+  // Batched buffer-filling phase: partitions `plans` over `num_shards` by
+  // ShardOfEpisode, runs each shard's CollectEpisodesBatched concurrently
+  // on the global pool (one shard runs inline with num_threads step
+  // executors), then merges the shard-local accumulators in (shard id, plan
+  // index) order — results are byte-equal regardless of which shard
+  // finishes first because no shard touches shared mutable state while
+  // collecting.
   void CollectEpisodesSharded(const std::vector<EpisodePlan>& plans,
                               int num_shards,
                               std::vector<Trajectory>* trajectories,
@@ -358,7 +327,7 @@ class Feat {
   std::vector<double> last_probabilities_;
   int focus_slot_ = -1;
   // 0-based index of the next RunIteration call; keys the shard-assignment
-  // hash and the per-shard RNG fork path.
+  // hash.
   uint64_t iteration_index_ = 0;
   // Running replay-eviction total at the end of the previous iteration
   // (buffers only expose running counters; cache traffic drains windows).

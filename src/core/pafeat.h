@@ -74,9 +74,7 @@ class PaFeat {
   // Restore requires a freshly constructed PaFeat over the same problem,
   // task list and ablation switches; on failure it returns false with a
   // reason in `error` and the instance must be discarded. A restored run
-  // continues bit-identically to the uninterrupted one (the SITP scheduler's
-  // internal success trace is the one documented approximation — it
-  // re-primes on the first resumed iteration).
+  // continues bit-identically to the uninterrupted one.
   std::vector<std::uint8_t> SerializeTrainingState() const;
   bool RestoreTrainingState(const std::vector<std::uint8_t>& blob,
                             std::string* error);

@@ -11,15 +11,16 @@
 namespace pafeat {
 
 // Resumable episode state machine for the batched inference plane (DESIGN.md
-// "Batched inference plane"). Where the legacy path ran one blocking episode
-// per worker — each step issuing its own single-row Q query — a driver holds
-// the episode's environment copy, its forked RNG stream, and its partial
+// "Batched inference plane"). Feat::RunEpisode, the blocking reference path
+// (FeatConfig::batched_inference = false), runs one episode per worker, each
+// step issuing its own single-row Q query. A driver instead holds the
+// episode's environment copy, its forked RNG stream, and its partial
 // trajectory, and is advanced one step at a time by the iteration loop:
 //
 //   1. PlanStep(epsilon)   serial, in plan order: draws this step's
 //                          exploration decision from the episode stream
-//                          (exactly the Bernoulli/UniformInt sequence the
-//                          blocking RunEpisode drew in-episode) and returns
+//                          (exactly the Bernoulli/UniformInt sequence
+//                          Feat::RunEpisode draws in-episode) and returns
 //                          true when the step needs a greedy Q query;
 //   2. WriteObservation /  the caller gathers all querying drivers'
 //      SetPlannedAction    observations into one batch, runs a single
@@ -27,19 +28,20 @@ namespace pafeat {
 //                          argmax;
 //   3. ApplyAction         parallel-safe: steps the private environment,
 //                          shapes the reward (the only other draw on the
-//                          episode stream, in the legacy order), and records
+//                          episode stream, in RunEpisode's order), and records
 //                          the transition.
 //
 // Because every random draw happens either in plan order (steps 1) or on the
-// episode's own stream in the legacy in-episode order (shaping in step 3),
+// episode's own stream in RunEpisode's in-episode order (shaping in step 3),
 // and because batched Q rows are bit-identical to single-row queries, the
-// trajectory a driver produces is bit-identical to the blocking RunEpisode
-// for the same plan — at any thread count and any batch composition.
+// trajectory a driver produces is bit-identical to Feat::RunEpisode for the
+// same plan — at any thread count and any batch composition
+// (batched_inference_test compares the two).
 class EpisodeDriver {
  public:
   // Reward hook applied to the raw environment reward before it is stored;
-  // may draw from the episode stream (same order as the legacy in-episode
-  // Shape call). Empty = store the raw reward.
+  // may draw from the episode stream (same order as RunEpisode's Shape
+  // call). Empty = store the raw reward.
   using RewardShapeFn = std::function<double(double raw_reward, Rng* rng)>;
 
   // Copies `env` (cheap: a representation vector plus state) so concurrent
@@ -52,7 +54,7 @@ class EpisodeDriver {
   // Customized initial state with its decision prefix and policy flag (the
   // ITE entry point). A degenerate state that is already terminal falls
   // back to the default initial state, discarding prefix and flag — the
-  // same fallback the blocking path applied.
+  // same fallback Feat::RunEpisode applies.
   void StartFrom(const EnvState& state, const std::vector<int>& prefix,
                  bool random_policy);
 

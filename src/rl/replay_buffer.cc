@@ -16,14 +16,24 @@ ReplayConfig LegacyConfig(int capacity_transitions) {
 }  // namespace
 
 ReplayBuffer::ReplayBuffer(int capacity_transitions)
-    : store_(LegacyConfig(capacity_transitions)) {}
+    : ReplayBuffer(LegacyConfig(capacity_transitions)) {}
 
-ReplayBuffer::ReplayBuffer(const ReplayConfig& config) : store_(config) {}
+ReplayBuffer::ReplayBuffer(const ReplayConfig& config) : config_(config) {
+  PF_CHECK_GT(config.capacity_transitions, 0);
+}
+
+std::size_t ReplayBuffer::TrajectoryBytes(const Trajectory& trajectory) {
+  std::size_t bytes = sizeof(StoredTrajectory);
+  for (const Transition& transition : trajectory.transitions) {
+    bytes += sizeof(Transition) + transition.state.mask.size() +
+             transition.next_state.mask.size();
+  }
+  return bytes;
+}
 
 void ReplayBuffer::AddTrajectory(Trajectory trajectory) {
-  // The final subset's true performance is the success signal the
-  // prioritized sampler weights by (recorded even when sampling uniformly,
-  // so flipping the switch mid-run needs no backfill).
+  // The final subset's true performance ranks trajectories for byte-budget
+  // eviction.
   const double priority = trajectory.episode_return;
   AddTrajectory(std::move(trajectory), priority);
 }
@@ -33,76 +43,61 @@ void ReplayBuffer::AddTrajectory(Trajectory trajectory, double priority) {
   // transitions the reader still points into.
   PF_DCHECK_EQ(readers_, 0);
   if (trajectory.transitions.empty()) return;
-  store_.Add(std::move(trajectory), priority);
-  if (store_.config().byte_budget > 0) EvictToBudget();
+  StoredTrajectory stored;
+  stored.priority = priority;
+  stored.sequence = next_sequence_++;
+  stored.bytes = TrajectoryBytes(trajectory);
+  num_transitions_ += static_cast<int>(trajectory.transitions.size());
+  bytes_ += stored.bytes;
+  stored.trajectory = std::move(trajectory);
+  stored_.push_back(std::move(stored));
+
+  while (num_transitions_ > config_.capacity_transitions &&
+         stored_.size() > 1) {
+    RemoveAt(0);
+  }
+  if (config_.byte_budget > 0) EvictToBudget();
 }
 
 void ReplayBuffer::EvictToBudget() {
   PF_DCHECK_EQ(readers_, 0);
-  store_.EvictToBudget();
+  while (config_.byte_budget > 0 && bytes_ > config_.byte_budget &&
+         stored_.size() > 1) {
+    const auto victim = std::min_element(
+        stored_.begin(), stored_.end(),
+        [](const StoredTrajectory& a, const StoredTrajectory& b) {
+          return a.priority < b.priority ||
+                 (a.priority == b.priority && a.sequence < b.sequence);
+        });
+    RemoveAt(static_cast<std::size_t>(victim - stored_.begin()));
+  }
+}
+
+void ReplayBuffer::RemoveAt(std::size_t index) {
+  const StoredTrajectory& stored = stored_[index];
+  num_transitions_ -= static_cast<int>(stored.trajectory.transitions.size());
+  bytes_ -= stored.bytes;
+  stored_.erase(stored_.begin() + static_cast<std::ptrdiff_t>(index));
+  ++evictions_;
 }
 
 std::vector<const Transition*> ReplayBuffer::SampleTransitions(
     int count, Rng* rng) const {
   PF_CHECK(!empty());
+  // Uniform two-level pick weighted by trajectory length, walking the
+  // trajectories oldest first.
   std::vector<const Transition*> sampled;
   sampled.reserve(count);
-  if (!store_.config().prioritized) {
-    // Uniform two-level pick weighted by trajectory length, walking the
-    // insertion order — draw-for-draw identical to the historical
-    // single-deque buffer at any shard count.
-    for (int i = 0; i < count; ++i) {
-      int index = rng->UniformInt(store_.num_transitions());
-      for (const ShardedTrajectoryStore::Ref& ref : store_.order()) {
-        const Trajectory& trajectory = store_.at(ref).trajectory;
-        const int len = static_cast<int>(trajectory.transitions.size());
-        if (index < len) {
-          sampled.push_back(&trajectory.transitions[index]);
-          break;
-        }
-        index -= len;
-      }
-    }
-    PF_CHECK_EQ(static_cast<int>(sampled.size()), count);
-    return sampled;
-  }
-
-  // Prioritized sampling: trajectory weight = length * (priority + floor),
-  // walked in (priority desc, sequence asc) order so the accumulation — and
-  // therefore every draw — is a pure function of the stored set, invariant
-  // to the shard count. Two draws per sample: the weighted trajectory pick,
-  // then a uniform transition within it.
-  std::vector<const ShardedTrajectoryStore::StoredTrajectory*> ranked;
-  ranked.reserve(store_.order().size());
-  for (const ShardedTrajectoryStore::Ref& ref : store_.order()) {
-    ranked.push_back(&store_.at(ref));
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const ShardedTrajectoryStore::StoredTrajectory* a,
-               const ShardedTrajectoryStore::StoredTrajectory* b) {
-              if (a->priority != b->priority) return a->priority > b->priority;
-              return a->sequence < b->sequence;
-            });
-  const double floor = store_.config().priority_floor;
-  double total_weight = 0.0;
-  for (const auto* stored : ranked) {
-    total_weight += stored->trajectory.transitions.size() *
-                    (std::max(stored->priority, 0.0) + floor);
-  }
-  PF_CHECK_GT(total_weight, 0.0);
   for (int i = 0; i < count; ++i) {
-    double r = rng->Uniform() * total_weight;
-    const ShardedTrajectoryStore::StoredTrajectory* picked = ranked.back();
-    for (const auto* stored : ranked) {
-      r -= stored->trajectory.transitions.size() *
-           (std::max(stored->priority, 0.0) + floor);
-      if (r < 0.0) {
-        picked = stored;
+    int index = rng->UniformInt(num_transitions_);
+    for (const StoredTrajectory& stored : stored_) {
+      const int len = static_cast<int>(stored.trajectory.transitions.size());
+      if (index < len) {
+        sampled.push_back(&stored.trajectory.transitions[index]);
         break;
       }
+      index -= len;
     }
-    const int len = static_cast<int>(picked->trajectory.transitions.size());
-    sampled.push_back(&picked->trajectory.transitions[rng->UniformInt(len)]);
   }
   PF_CHECK_EQ(static_cast<int>(sampled.size()), count);
   return sampled;
@@ -111,18 +106,17 @@ std::vector<const Transition*> ReplayBuffer::SampleTransitions(
 std::vector<const Trajectory*> ReplayBuffer::RecentTrajectories(
     int count) const {
   std::vector<const Trajectory*> recent;
-  const int available = store_.num_trajectories();
+  const int available = num_trajectories();
   const int take = std::min(count, available);
   for (int i = available - take; i < available; ++i) {
-    recent.push_back(&store_.at(store_.order()[i]).trajectory);
+    recent.push_back(&stored_[i].trajectory);
   }
   return recent;
 }
 
 void ReplayBuffer::ForEachStored(
     const std::function<void(const Trajectory&, double priority)>& fn) const {
-  for (const ShardedTrajectoryStore::Ref& ref : store_.order()) {
-    const ShardedTrajectoryStore::StoredTrajectory& stored = store_.at(ref);
+  for (const StoredTrajectory& stored : stored_) {
     fn(stored.trajectory, stored.priority);
   }
 }

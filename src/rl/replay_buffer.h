@@ -2,23 +2,29 @@
 #define PAFEAT_RL_REPLAY_BUFFER_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "memory/replay_store.h"
 #include "rl/types.h"
 
 namespace pafeat {
 
+// Configuration of one task's replay buffer (DESIGN.md "Bounded memory
+// plane").
+struct ReplayConfig {
+  int capacity_transitions = 4096;  // FIFO transition cap (paper default)
+  std::size_t byte_budget = 0;      // 0 = unbounded
+};
+
 // Bounded replay buffer of whole trajectories (Algorithm 1 keeps one buffer
-// B^k per seen task), re-cut over the sharded trajectory store of the
-// bounded memory plane (DESIGN.md "Bounded memory plane"). Default sampling
-// is uniform over stored transitions and bit-identical to the historical
-// single-deque buffer (same rng draws, same walk order); ReplayConfig opts
-// into priority-weighted sampling and a byte budget. The ITS reads the most
-// recent trajectories (Eqn 4a's load module).
+// B^k per seen task), stored oldest first. Sampling is uniform over stored
+// transitions. Two evictions keep it bounded: FIFO while over the transition
+// capacity, and, under a byte budget, lowest (priority, arrival sequence)
+// first. The ITS reads the most recent trajectories (Eqn 4a's load module).
 //
 // Borrow contract: SampleTransitions / RecentTrajectories return raw
 // pointers into the stored trajectories, and both mutation entry points —
@@ -64,22 +70,21 @@ class ReplayBuffer {
     const ReplayBuffer* buffer_;
   };
 
-  // Stores a trajectory; its priority defaults to the episode return (the
-  // success signal the prioritized sampler weights by). Runs the FIFO
-  // capacity eviction and, under a byte budget, EvictToBudget.
+  // Stores a trajectory; its priority (the byte-budget eviction key)
+  // defaults to the episode return. Runs the FIFO capacity eviction (always
+  // keeping at least one trajectory) and, under a byte budget,
+  // EvictToBudget.
   void AddTrajectory(Trajectory trajectory);
   void AddTrajectory(Trajectory trajectory, double priority);
 
   // Evicts lowest-(priority, sequence) trajectories until the byte budget
-  // fits (no-op when unbounded). A mutation entry point under the borrow
-  // contract, exactly like AddTrajectory.
+  // fits, keeping at least one (no-op when unbounded). A mutation entry
+  // point under the borrow contract, exactly like AddTrajectory.
   void EvictToBudget();
 
-  // Samples `count` transitions (with replacement): uniform over stored
-  // transitions by default, priority-weighted under ReplayConfig::
-  // prioritized (weights walk the (priority desc, sequence asc) order, so
-  // draws are deterministic at any shard count). The pointers are only
-  // stable until the next mutation — see the borrow contract.
+  // Samples `count` transitions uniformly (with replacement): one draw per
+  // sample, walked over the trajectories oldest first. The pointers are
+  // only stable until the next mutation — see the borrow contract.
   std::vector<const Transition*> SampleTransitions(int count, Rng* rng) const;
 
   // The most recent `count` trajectories, newest last (fewer if not enough).
@@ -97,18 +102,36 @@ class ReplayBuffer {
   void ForEachStored(
       const std::function<void(const Trajectory&, double priority)>& fn) const;
 
-  int num_transitions() const { return store_.num_transitions(); }
-  int num_trajectories() const { return store_.num_trajectories(); }
-  bool empty() const { return store_.num_transitions() == 0; }
-  std::size_t bytes() const { return store_.bytes(); }
-  long long evictions() const { return store_.evictions(); }
-  const ReplayConfig& config() const { return store_.config(); }
+  int num_transitions() const { return num_transitions_; }
+  int num_trajectories() const { return static_cast<int>(stored_.size()); }
+  bool empty() const { return num_transitions_ == 0; }
+  std::size_t bytes() const { return bytes_; }
+  long long evictions() const { return evictions_; }
+  const ReplayConfig& config() const { return config_; }
 
  private:
+  // A trajectory with its eviction key and its byte charge. TrajectoryBytes
+  // charges sizeof(StoredTrajectory) per trajectory, so the budget eviction
+  // points depend on this layout.
+  struct StoredTrajectory {
+    Trajectory trajectory;
+    double priority = 0.0;
+    std::uint64_t sequence = 0;  // arrival order; the eviction tie-break
+    std::size_t bytes = 0;
+  };
+
+  static std::size_t TrajectoryBytes(const Trajectory& trajectory);
+  void RemoveAt(std::size_t index);
+
   // Outstanding borrow windows (checked builds only assert on it); mutable
   // because registering a read is logically const.
   mutable int readers_ = 0;
-  ShardedTrajectoryStore store_;
+  ReplayConfig config_;
+  std::deque<StoredTrajectory> stored_;  // oldest first
+  std::uint64_t next_sequence_ = 0;
+  int num_transitions_ = 0;
+  std::size_t bytes_ = 0;
+  long long evictions_ = 0;  // running total (FIFO + budget)
 };
 
 }  // namespace pafeat

@@ -109,14 +109,15 @@ TEST(ConcurrencyStressTest, GlobalPoolGrowthRacesActiveJobs) {
   std::atomic<bool> stop{false};
   std::atomic<long long> total{0};
   // Submissions must come from outside the pool so EnsureGlobalWorkers can
-  // race an in-flight ParallelFor.
+  // race an in-flight ParallelFor. The submitter runs at least one job even
+  // when the growth loop below finishes before the thread is scheduled.
   // lint: allow(raw-thread): racing submitter must be an unmanaged thread
   std::thread submitter([&] {
-    while (!stop.load(std::memory_order_acquire)) {
+    do {
       ThreadPool::Global()->ParallelFor(32, 4, [&](int) {
         total.fetch_add(1, std::memory_order_relaxed);
       });
-    }
+    } while (!stop.load(std::memory_order_acquire));
   });
   for (int target = 2; target <= 6; ++target) {
     ThreadPool::EnsureGlobalWorkers(target);

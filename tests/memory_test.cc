@@ -1,12 +1,11 @@
 // The bounded experience-memory plane (DESIGN.md "Bounded memory plane"):
-// the tiered reward cache's budget/eviction/telemetry contracts, the sharded
-// trajectory store's shard-count invariance, and the end-to-end determinism
-// claim — training under a forced-eviction budget is bit-identical at any
-// thread count and any replay shard count.
+// the tiered reward cache's budget/eviction/telemetry contracts, the replay
+// buffer's byte-budget eviction order, and the end-to-end determinism claim
+// — training under a forced-eviction budget is bit-identical at any thread
+// count and any collector shard count.
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,7 +16,6 @@
 #include "core/defaults.h"
 #include "core/feat.h"
 #include "data/synthetic.h"
-#include "memory/replay_store.h"
 #include "memory/reward_cache.h"
 #include "rl/replay_buffer.h"
 
@@ -204,125 +202,54 @@ Trajectory MakeTrajectory(int transitions, double episode_return,
   return trajectory;
 }
 
-TEST(ShardedTrajectoryStoreTest, ShardOfSequenceIsAStableTotalFunction) {
-  for (uint64_t sequence : {0ULL, 1ULL, 7ULL, 123456789ULL}) {
-    for (int num_shards : {1, 2, 4, 8}) {
-      const int shard =
-          ShardedTrajectoryStore::ShardOfSequence(sequence, num_shards);
-      EXPECT_GE(shard, 0);
-      EXPECT_LT(shard, num_shards);
-      EXPECT_EQ(shard,
-                ShardedTrajectoryStore::ShardOfSequence(sequence, num_shards));
-    }
-  }
-}
-
-// Text image of the store in insertion order; string equality across shard
-// counts is the invariance claim.
-std::string DumpStore(const ShardedTrajectoryStore& store) {
+// Text image of the buffer, oldest first: "return:priority" per stored
+// trajectory. The tests below store each trajectory's arrival index as its
+// episode return, so the image names the survivors by arrival.
+std::string DumpBuffer(const ReplayBuffer& buffer) {
   std::ostringstream out;
-  for (const auto& ref : store.order()) {
-    const auto& stored = store.at(ref);
-    out << stored.sequence << ':' << stored.priority << ':'
-        << stored.trajectory.transitions.size() << ':'
-        << stored.trajectory.episode_return << '\n';
-  }
+  buffer.ForEachStored([&](const Trajectory& trajectory, double priority) {
+    out << trajectory.episode_return << ':' << priority << ' ';
+  });
   return out.str();
 }
 
-TEST(ShardedTrajectoryStoreTest, EvictionOrderIsShardCountInvariant) {
-  ReplayConfig one;
-  one.num_shards = 1;
-  ReplayConfig four;
-  four.num_shards = 4;
-  ShardedTrajectoryStore store1(one);
-  ShardedTrajectoryStore store4(four);
-
+TEST(ReplayBufferTest, BudgetEvictionOrderIsLowestPriorityThenSequence) {
   // Priorities collide on purpose so the sequence tie-break matters.
   const double priorities[] = {0.5, 0.2, 0.5, 0.9, 0.2, 0.7, 0.1, 0.5};
-  std::size_t bytes_total = 0;
-  for (double priority : priorities) {
-    Trajectory t = MakeTrajectory(4, priority);
-    store1.Add(MakeTrajectory(4, priority), priority);
-    store4.Add(std::move(t), priority);
-    bytes_total = store1.bytes();
+  ReplayBuffer unbounded(ReplayConfig{});
+  for (int i = 0; i < 8; ++i) {
+    unbounded.AddTrajectory(MakeTrajectory(4, i), priorities[i]);
   }
-  ASSERT_EQ(DumpStore(store1), DumpStore(store4));
+  const std::size_t bytes_total = unbounded.bytes();
 
-  // Shrink both to roughly half; the surviving set (and its order) must be
-  // identical — the victims are the lowest (priority, sequence) pairs no
-  // matter how the slots are sharded.
-  ReplayConfig one_b = one;
-  one_b.byte_budget = bytes_total / 2;
-  ReplayConfig four_b = four;
-  four_b.byte_budget = bytes_total / 2;
-  ShardedTrajectoryStore bounded1(one_b);
-  ShardedTrajectoryStore bounded4(four_b);
-  for (double priority : priorities) {
-    bounded1.Add(MakeTrajectory(4, priority), priority);
-    bounded4.Add(MakeTrajectory(4, priority), priority);
+  // Half the bytes hold four of the eight equal-sized trajectories. The
+  // victims are the lowest (priority, sequence) pairs: (0.1, 6), (0.2, 1),
+  // (0.2, 4), then (0.5, 0), the oldest of the three at 0.5.
+  ReplayConfig config;
+  config.byte_budget = bytes_total / 2;
+  ReplayBuffer bounded(config);
+  for (int i = 0; i < 8; ++i) {
+    bounded.AddTrajectory(MakeTrajectory(4, i), priorities[i]);
   }
-  EXPECT_EQ(bounded1.EvictToBudget(), bounded4.EvictToBudget());
-  const std::string survivors = DumpStore(bounded1);
-  EXPECT_EQ(survivors, DumpStore(bounded4));
+  const std::string survivors = DumpBuffer(bounded);
+  EXPECT_EQ(survivors, "2:0.5 3:0.9 5:0.7 7:0.5 ");
+  EXPECT_EQ(bounded.evictions(), 4);
 
   // The lowest-priority trajectory (priority 0.1, sequence 6) dies first.
-  EXPECT_EQ(survivors.find("6:0.1:"), std::string::npos);
-  EXPECT_LE(bounded1.bytes(), bytes_total / 2);
+  EXPECT_EQ(survivors.find("6:0.1"), std::string::npos);
+  EXPECT_LE(bounded.bytes(), bytes_total / 2);
 }
 
-TEST(ShardedTrajectoryStoreTest, BudgetEvictionKeepsAtLeastOne) {
+TEST(ReplayBufferTest, BudgetEvictionKeepsAtLeastOne) {
   ReplayConfig config;
   config.byte_budget = 1;  // impossibly tight
-  ShardedTrajectoryStore store(config);
-  for (int i = 0; i < 4; ++i) {
-    store.Add(MakeTrajectory(3, i), /*priority=*/i);
-  }
-  store.EvictToBudget();
-  EXPECT_EQ(store.num_trajectories(), 1);
-  // The survivor is the highest-(priority, sequence) trajectory.
-  EXPECT_EQ(store.at(store.order().front()).priority, 3.0);
-}
-
-TEST(ReplayBufferTest, PrioritizedSamplingFavorsHighPriority) {
-  ReplayConfig config;
-  config.prioritized = true;
   ReplayBuffer buffer(config);
-  buffer.AddTrajectory(MakeTrajectory(8, /*episode_return=*/0.01));
-  buffer.AddTrajectory(MakeTrajectory(8, /*episode_return=*/50.0));
-
-  Rng rng(123);
-  int from_high = 0;
-  const int draws = 400;
-  const auto sampled = buffer.SampleTransitions(draws, &rng);
-  for (const Transition* t : sampled) {
-    if (t->reward > 1.0f) ++from_high;
+  for (int i = 0; i < 4; ++i) {
+    buffer.AddTrajectory(MakeTrajectory(3, i), /*priority=*/i);
   }
-  EXPECT_GT(from_high, draws / 2);
-}
-
-TEST(ReplayBufferTest, PrioritizedSamplingIsShardCountInvariant) {
-  auto build = [](int num_shards) {
-    ReplayConfig config;
-    config.prioritized = true;
-    config.num_shards = num_shards;
-    auto buffer = std::make_unique<ReplayBuffer>(config);
-    for (int i = 0; i < 12; ++i) {
-      buffer->AddTrajectory(MakeTrajectory(5, 0.1 * (i % 4)));
-    }
-    return buffer;
-  };
-  const auto buffer1 = build(1);
-  const auto buffer4 = build(4);
-  Rng rng1(99);
-  Rng rng4(99);
-  const auto sampled1 = buffer1->SampleTransitions(64, &rng1);
-  const auto sampled4 = buffer4->SampleTransitions(64, &rng4);
-  ASSERT_EQ(sampled1.size(), sampled4.size());
-  for (std::size_t i = 0; i < sampled1.size(); ++i) {
-    EXPECT_EQ(sampled1[i]->reward, sampled4[i]->reward) << "draw " << i;
-    EXPECT_EQ(sampled1[i]->state.position, sampled4[i]->state.position);
-  }
+  EXPECT_EQ(buffer.num_trajectories(), 1);
+  // The survivor is the highest-(priority, sequence) trajectory.
+  EXPECT_EQ(DumpBuffer(buffer), "3:3 ");
 }
 
 // --- end-to-end: forced-eviction training determinism ----------------------
@@ -362,8 +289,7 @@ struct BoundedOutcome {
   std::vector<IterationStats> stats;
 };
 
-BoundedOutcome RunBoundedTraining(int num_threads, int replay_shards,
-                                  int collector_shards) {
+BoundedOutcome RunBoundedTraining(int num_threads, int collector_shards) {
   SyntheticDataset dataset = MemoryDataset();
   FsProblemConfig problem_config = DefaultProblemConfig(true);
   // Tight enough that both planes evict continuously at this scale.
@@ -373,7 +299,6 @@ BoundedOutcome RunBoundedTraining(int num_threads, int replay_shards,
   config.envs_per_iteration = 8;
   config.num_threads = num_threads;
   config.num_shards = collector_shards;
-  config.replay_shards = replay_shards;
   config.replay_budget_bytes = 8192;
   Feat feat(&problem, dataset.SeenTaskIndices(), config);
   BoundedOutcome outcome;
@@ -413,8 +338,8 @@ void ExpectSameBoundedOutcome(const BoundedOutcome& base,
 }
 
 TEST(BoundedTrainingTest, ForcedEvictionIsThreadAndShardCountInvariant) {
-  const BoundedOutcome base = RunBoundedTraining(
-      /*num_threads=*/1, /*replay_shards=*/1, /*collector_shards=*/1);
+  const BoundedOutcome base =
+      RunBoundedTraining(/*num_threads=*/1, /*collector_shards=*/1);
 
   // The budgets must actually bind, or this test proves nothing.
   long long cache_evictions = 0;
@@ -426,42 +351,10 @@ TEST(BoundedTrainingTest, ForcedEvictionIsThreadAndShardCountInvariant) {
   ASSERT_GT(cache_evictions, 0) << "cache budget did not bind";
   ASSERT_GT(replay_evictions, 0) << "replay budget did not bind";
 
-  ExpectSameBoundedOutcome(
-      base, RunBoundedTraining(8, 1, 1), "8 threads");
-  ExpectSameBoundedOutcome(
-      base, RunBoundedTraining(1, 4, 1), "4 replay shards");
-  ExpectSameBoundedOutcome(
-      base, RunBoundedTraining(8, 4, 4), "8 threads, 4x4 shards");
-}
-
-TEST(BoundedTrainingTest, SuccessPrioritizedSchedulingIsDeterministic) {
-  auto run = [] {
-    SyntheticDataset dataset = MemoryDataset();
-    FsProblem problem(dataset.table, DefaultProblemConfig(true), 19);
-    FeatConfig config = DefaultFeatOptions(50, 23).feat;
-    config.envs_per_iteration = 6;
-    config.success_prioritized_scheduling = true;
-    Feat feat(&problem, dataset.SeenTaskIndices(), config);
-    BoundedOutcome outcome;
-    for (int i = 0; i < 6; ++i) {
-      outcome.stats.push_back(feat.RunIteration());
-    }
-    outcome.params = feat.agent().online_net().SerializeParams();
-    outcome.buffers = DumpBuffers(feat);
-    return outcome;
-  };
-  const BoundedOutcome a = run();
-  const BoundedOutcome b = run();
-  ExpectSameBoundedOutcome(a, b, "SITP repeat run");
-  // The scheduler emits a proper distribution every iteration.
-  for (const IterationStats& stats : a.stats) {
-    double sum = 0.0;
-    for (double p : stats.task_probabilities) {
-      EXPECT_GE(p, 0.0);
-      sum += p;
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-  }
+  ExpectSameBoundedOutcome(base, RunBoundedTraining(8, 1), "8 threads");
+  ExpectSameBoundedOutcome(base, RunBoundedTraining(1, 4), "4 shards");
+  ExpectSameBoundedOutcome(base, RunBoundedTraining(8, 4),
+                           "8 threads, 4 shards");
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "core/defaults.h"
 #include "core/pafeat.h"
 #include "data/synthetic.h"
+#include "memory/persistence.h"
 
 namespace pafeat {
 namespace {
@@ -213,6 +214,82 @@ TEST_F(WarmResumeTest, RestoreRejectsMismatchedTaskList) {
   PaFeat mismatched(&problem_b_, fewer, ResumeConfig());
   std::string error;
   EXPECT_FALSE(mismatched.RestoreTrainingState(blob, &error));
+  EXPECT_FALSE(error.empty());
+}
+
+// Byte offset of the first stored transition in a PaFeat training-state
+// blob, found by walking the documented layout (Feat::SerializeTrainingState):
+// header and RNG, agent state, then per task its recent returns, replay
+// trajectories and reward-cache entries. Returns 0 if no task has a stored
+// transition.
+std::size_t FirstTransitionOffset(const std::vector<std::uint8_t>& blob) {
+  ByteReader in(blob);
+  const auto skip = [&](std::size_t bytes) {
+    std::vector<std::uint8_t> sink(bytes);
+    if (bytes > 0) in.Raw(sink.data(), bytes);
+  };
+  skip(2 * sizeof(std::uint32_t) + 7 * sizeof(std::uint64_t));  // to agent
+  in.I64();                                                     // steps
+  skip(in.U64() * sizeof(float));                               // target
+  in.I64();                                                     // adam step
+  skip(in.U64() * sizeof(float));                               // adam m
+  skip(in.U64() * sizeof(float));                               // adam v
+  const std::uint64_t popart = in.U64();
+  skip(popart * sizeof(double));                                // mean
+  skip(in.U64() * sizeof(double));                              // sq
+  skip(popart);                                                 // init flags
+  in.U32();                                                     // features
+  const std::uint32_t num_tasks = in.U32();
+  for (std::uint32_t task = 0; task < num_tasks && in.ok(); ++task) {
+    in.I32();                                    // label index
+    skip(in.U32() * sizeof(double));             // recent returns
+    const std::uint32_t trajectories = in.U32();
+    for (std::uint32_t t = 0; t < trajectories; ++t) {
+      skip(2 * sizeof(double));                  // priority, return
+      // Stored trajectories are never empty, so the first one holds the
+      // first transition.
+      if (in.U32() > 0) return blob.size() - in.remaining();
+    }
+    const std::uint32_t entries = in.U32();
+    const std::uint32_t words = in.U32();
+    skip(entries * (words * sizeof(std::uint64_t) + sizeof(double)));
+  }
+  return 0;
+}
+
+TEST_F(WarmResumeTest, RestoreRejectsOutOfRangeTransitions) {
+  PaFeat pafeat(&problem_a_, dataset_.SeenTaskIndices(), ResumeConfig());
+  pafeat.Train(3);
+  const std::vector<std::uint8_t> blob = pafeat.SerializeTrainingState();
+  const std::size_t transition = FirstTransitionOffset(blob);
+  ASSERT_GT(transition, 0u) << "no stored transition to corrupt";
+  const std::size_t num_features = dataset_.table.num_features();
+  // Transition layout: I32 position, mask, I32 next position, mask,
+  // I32 action, F32 reward, U8 done.
+  const std::size_t position_offset = transition;
+  const std::size_t action_offset =
+      transition + 2 * (sizeof(std::int32_t) + num_features);
+
+  const auto patched = [&](std::size_t offset, std::int32_t value) {
+    std::vector<std::uint8_t> bytes = blob;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const auto restore = [&](const std::vector<std::uint8_t>& bytes,
+                           std::string* error) {
+    FsProblem problem(dataset_.table, DefaultProblemConfig(true), 19);
+    PaFeat restored(&problem, dataset_.SeenTaskIndices(), ResumeConfig());
+    return restored.RestoreTrainingState(bytes, error);
+  };
+
+  // The unpatched blob restores, so the rejections below come from the
+  // range checks, not from a misread layout.
+  std::string error;
+  ASSERT_TRUE(restore(blob, &error)) << error;
+  EXPECT_FALSE(restore(patched(position_offset, -1), &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(restore(patched(action_offset, 7), &error));
   EXPECT_FALSE(error.empty());
 }
 
