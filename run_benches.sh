@@ -93,11 +93,14 @@ build/bench/bench_micro \
 echo "===================================================================="
 echo "== Sharded training plane -> bench/baselines/BENCH_shard.json"
 echo "===================================================================="
-# BM_IterationSharded/N: one training iteration with the collector plane
-# split into N shards (num_threads pinned to 1, so shards are the only
-# parallelism — the scale-out curve). Interpreting the curve requires the
-# JSON's num_cpus context key: shards only buy wall-clock on hosts with
-# cores to run them; on a single-core host every shard executes back-to-back
+# BM_IterationSharded/N: one training iteration at num_threads=N, i.e. the
+# collector plane split round-robin into N shards that each step their own
+# episodes serially — the scale-out curve. The committed baselines predate
+# the merge of num_shards into num_threads: they ran N hash-placed shards
+# at num_threads=1, the same shape apart from the split. Interpreting the
+# curve requires the JSON's num_cpus context key: shards only buy
+# wall-clock on hosts with cores to run them; on a single-core host every
+# shard executes back-to-back
 # on one core and the curve measures the fan-out/merge overhead instead
 # (DESIGN.md "Sharded training plane"). The acceptance target — >= 1.5x
 # iteration throughput at 4 shards — is a multi-core criterion; the frozen

@@ -27,7 +27,7 @@
 #             continuously while ASan watches the freed slots
 #   tsan      scripts/check.sh tsan  (ThreadSanitizer), with
 #             PAFEAT_SHARD_STRESS_SHARDS=4 so the shard rendezvous stress
-#             runs the sharded collector fan-out at num_shards=4 — several
+#             runs at num_threads=4, i.e. four collector shards — several
 #             shards racing on the pool and the shared reward-cache locks
 #             is exactly the traffic TSan should see
 #

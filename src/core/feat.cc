@@ -54,18 +54,11 @@ Feat::Feat(FsProblem* problem, std::vector<int> seen_label_indices,
   PF_CHECK(problem != nullptr);
   PF_CHECK(!seen_label_indices.empty());
 
-  PF_CHECK_GE(config_.num_shards, 1);
-  // The sharded collector runs each shard's own step-synchronous loop; the
-  // legacy blocking path has no rendezvous to shard.
-  PF_CHECK(config_.num_shards == 1 || config_.batched_inference);
-
   // Episode collection shares the persistent process-wide pool (no thread
   // spawn/join per iteration); make sure it can deliver the configured
-  // parallelism (the iteration's own thread is the extra executor). The
-  // shard fan-out wants one executor per shard.
-  const int executors = std::max(config_.num_threads, config_.num_shards);
-  if (executors > 1) {
-    ThreadPool::EnsureGlobalWorkers(executors - 1);
+  // parallelism (the iteration's own thread is the extra executor).
+  if (config_.num_threads > 1) {
+    ThreadPool::EnsureGlobalWorkers(config_.num_threads - 1);
   }
 
   for (int label_index : seen_label_indices) AddTask(label_index);
@@ -172,7 +165,7 @@ Trajectory Feat::RunEpisode(const EpisodePlan& plan,
 }
 
 void Feat::CollectEpisodesBatched(
-    const std::vector<const EpisodePlan*>& plans, int num_threads,
+    const std::vector<const EpisodePlan*>& plans,
     std::vector<Trajectory>* trajectories,
     std::vector<std::vector<int>>* episode_actions) {
   const int num_episodes = static_cast<int>(plans.size());
@@ -239,18 +232,10 @@ void Feat::CollectEpisodesBatched(
         drivers[greedy[r]].SetPlannedAction(greedy_actions[r]);
       }
     }
-    // Phase 3 (parallel): environment steps + reward shaping. Each worker
-    // touches only its own driver; the reward cache behind the shared
-    // evaluator is locked.
-    // With several collector shards this runs inline on the shard's worker
-    // by design: determinism is per-shard, parallelism comes from the outer
-    // shard loop (the blessed fan-out idiom). A single shard runs on the
-    // caller, so the steps fan out here.
-    // lint: allow(pool-reentrancy): shard fan-out degrades inline by design
-    ThreadPool::Global()->ParallelFor(
-        static_cast<int>(live.size()), num_threads, [&](int i) {
-          drivers[live[i]].ApplyAction(shapers[live[i]]);
-        });
+    // Phase 3: environment steps + reward shaping, serially on this shard's
+    // executor; the parallelism is the shard fan-out around this call. The
+    // reward cache behind the shared evaluator is locked.
+    for (int index : live) drivers[index].ApplyAction(shapers[index]);
     // Phase 4: retire finished episodes, preserving plan order.
     live.erase(std::remove_if(live.begin(), live.end(),
                               [&](int index) {
@@ -265,67 +250,39 @@ void Feat::CollectEpisodesBatched(
   }
 }
 
-int Feat::ShardOfEpisode(uint64_t iteration, int episode_index,
-                         int num_shards) {
-  PF_CHECK_GT(num_shards, 0);
-  // SplitMix64-style avalanche of the (iteration, episode) pair. A plain
-  // `episode % num_shards` would also be deterministic, but it would give
-  // every shard a contiguous stride of the plan — the hash spreads any
-  // scheduler bias across shards and matches how a distributed partitioner
-  // would key episodes.
-  uint64_t z = iteration * 0x9e3779b97f4a7c15ULL +
-               static_cast<uint64_t>(episode_index) + 0x632be59bd9b4e019ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return static_cast<int>(z % static_cast<uint64_t>(num_shards));
-}
-
 void Feat::CollectEpisodesSharded(
     const std::vector<EpisodePlan>& plans, int num_shards,
     std::vector<Trajectory>* trajectories,
     std::vector<std::vector<int>>* episode_actions) {
-  // Partition by the fixed (iteration, episode) hash. The assignment is a
-  // pure function of the plan's position, and planning itself already
-  // happened serially on the root stream — so both the episode set and
+  // Round-robin partition: plan i goes to shard i % num_shards. Planning
+  // already happened serially on the root stream, so the episode set and
   // every per-episode RNG stream are shard-count-invariant by construction.
-  std::vector<std::vector<int>> shard_plan_indices(num_shards);
-  for (int i = 0; i < static_cast<int>(plans.size()); ++i) {
-    const int shard = ShardOfEpisode(iteration_index_, i, num_shards);
-    shard_plan_indices[shard].push_back(i);
-  }
-
-  // Shard-local accumulators, merged only after the fan-out barrier below —
+  // Shard-local accumulators are merged only after the fan-out barrier —
   // the collect-then-deterministic-Build shape: no shard writes shared
   // state while collecting, so finish order cannot influence the merge.
+  const int num_episodes = static_cast<int>(plans.size());
   std::vector<std::vector<Trajectory>> shard_trajectories(num_shards);
   std::vector<std::vector<std::vector<int>>> shard_actions(num_shards);
+  // A single shard runs inline on the caller (ParallelFor at parallelism 1).
   ThreadPool::Global()->ParallelFor(num_shards, num_shards, [&](int s) {
-    const std::vector<int>& plan_indices = shard_plan_indices[s];
-    const int count = static_cast<int>(plan_indices.size());
-    shard_trajectories[s].resize(count);
-    shard_actions[s].resize(count);
-    if (count == 0) return;
     std::vector<const EpisodePlan*> shard_plans;
-    shard_plans.reserve(count);
-    for (int index : plan_indices) shard_plans.push_back(&plans[index]);
-    // A single shard runs inline on the caller, so its environment steps
-    // still fan out over num_threads. With several shards this call runs on
-    // a pool task, where the nested ParallelFor degrades inline and the
-    // shard fan-out above is the parallelism.
-    CollectEpisodesBatched(shard_plans, config_.num_threads,
-                           &shard_trajectories[s], &shard_actions[s]);
+    for (int i = s; i < num_episodes; i += num_shards) {
+      shard_plans.push_back(&plans[i]);
+    }
+    shard_trajectories[s].resize(shard_plans.size());
+    shard_actions[s].resize(shard_plans.size());
+    CollectEpisodesBatched(shard_plans, &shard_trajectories[s],
+                           &shard_actions[s]);
   });
 
-  // Deterministic merge, (shard id, plan index) order: each shard's results
-  // land back at their global plan indices, so the commit loop that follows
-  // sees exactly the single-shard layout.
-  for (int s = 0; s < num_shards; ++s) {
-    for (int j = 0; j < static_cast<int>(shard_plan_indices[s].size()); ++j) {
-      const int index = shard_plan_indices[s][j];
-      (*trajectories)[index] = std::move(shard_trajectories[s][j]);
-      (*episode_actions)[index] = std::move(shard_actions[s][j]);
-    }
+  // Deterministic merge: each shard's j-th result lands back at its global
+  // plan index s + j * num_shards, so the commit loop that follows sees
+  // exactly the single-shard layout.
+  for (int i = 0; i < num_episodes; ++i) {
+    const int s = i % num_shards;
+    const int j = i / num_shards;
+    (*trajectories)[i] = std::move(shard_trajectories[s][j]);
+    (*episode_actions)[i] = std::move(shard_actions[s][j]);
   }
 }
 
@@ -353,8 +310,9 @@ IterationStats Feat::RunIteration() {
 
   // --- Buffer Filling Phase (Algorithm 1 lines 4-18) ---
   const int num_episodes = config_.envs_per_iteration;
+  // One collector shard per thread, never more shards than episodes.
   const int num_shards =
-      std::max(1, std::min(config_.num_shards, num_episodes));
+      std::max(1, std::min(config_.num_threads, num_episodes));
   if (focus_slot_ >= 0) {
     PF_CHECK_LT(focus_slot_, num_tasks());
     last_probabilities_.assign(tasks_.size(), 0.0);
@@ -451,7 +409,7 @@ IterationStats Feat::RunIteration() {
     }
   }
   const int learner_threads =
-      std::max(1, std::min(std::max(config_.num_threads, num_shards),
+      std::max(1, std::min(config_.num_threads,
                            static_cast<int>(updates.size())));
   ThreadPool::Global()->ParallelFor(
       static_cast<int>(updates.size()), learner_threads, [&](int u) {
@@ -472,7 +430,7 @@ IterationStats Feat::RunIteration() {
   // windows: the epoch's publishes graduate into the eviction slab in
   // sorted-key order and the budget sweep runs, so its evictions land in
   // this iteration's counters and the whole sequence is deterministic at
-  // any thread or shard count.
+  // any thread count.
   for (const SeenTaskRuntime& task : tasks_) {
     task.context->evaluator->AdvanceCacheEpoch();
     const MemoryTraffic traffic = task.context->evaluator->TakeCacheTraffic();

@@ -27,13 +27,18 @@ struct FeatConfig {
   RewardMode reward_mode = RewardMode::kDelta;
   int replay_capacity = 4096;    // transitions per task buffer B^k
   // Executors for the buffer-filling phase (the paper's N parallel
-  // environments / "Resources"). Episodes run on the persistent
-  // process-wide ThreadPool — the Feat constructor grows it to at least
-  // num_threads - 1 workers (the iterating thread participates), so this is
-  // also the pool-size wiring. Results are deterministic for a fixed seed
-  // regardless of the thread count: episodes are planned sequentially
-  // (task choice, initial state, per-episode RNG), executed on the pool,
-  // and committed in plan order.
+  // environments / "Resources"). The iteration's planned episodes are split
+  // round-robin over min(num_threads, envs_per_iteration) collector shards
+  // (DESIGN.md "Sharded training plane"), each running its own
+  // step-synchronous batched collection on the persistent process-wide
+  // ThreadPool — the Feat constructor grows it to at least num_threads - 1
+  // workers (the iterating thread participates), so this is also the
+  // pool-size wiring. Results are bit-identical for a fixed seed at any
+  // thread count: episodes are planned sequentially on the root stream
+  // (task choice, initial state, per-episode RNG), every draw during
+  // collection comes from an episode's own stream, batched Q rows match at
+  // any batch composition by kernel construction, and results are
+  // committed in plan order.
   int num_threads = 1;
   // Step-synchronous episode collection (DESIGN.md "Batched inference
   // plane"): all live episodes advance in lock-step and their greedy Q
@@ -43,23 +48,10 @@ struct FeatConfig {
   // exploration draws happen in plan order on the per-episode streams and
   // batched Q rows match single-row queries bit-for-bit.
   bool batched_inference = true;
-  // Sharded collector plane (DESIGN.md "Sharded training plane"): the
-  // iteration's planned episodes are partitioned across `num_shards`
-  // collector shards by a fixed hash of (iteration, episode index), each
-  // shard runs its own step-synchronous batched collection concurrently on
-  // the global pool, and the shard-local accumulators are merged in
-  // (shard id, plan index) order before the plan-order commit. Training is
-  // bit-identical at any shard count: planning stays serial on the root
-  // stream (the episode set and per-episode RNG streams never depend on the
-  // shard count), every draw during collection comes from an episode's own
-  // stream, and batched Q rows match at any batch composition by kernel
-  // construction. A single shard fans its environment steps out over
-  // num_threads; num_shards > 1 requires batched_inference.
-  int num_shards = 1;
   // Bounded experience-memory plane (DESIGN.md "Bounded memory plane"):
   // every task buffer B^k gets a byte budget resolved through
   // ResolveReplayBudgetBytes (> 0 bytes, 0 explicit unlimited, < 0 the
-  // process-default chain; --replay_budget_mb).
+  // default chain, which for replay is unlimited).
   long long replay_budget_bytes = kMemoryBudgetDefault;
   int recent_returns_window = 32;
   DqnConfig dqn;                 // dqn.net.input_dim is filled automatically
@@ -217,13 +209,6 @@ class Feat {
   // reward-cache traffic as well).
   TrainingStats TrainWithStats(int iterations);
 
-  // The collector shard an episode plan belongs to: a fixed avalanche hash
-  // of (iteration, episode index), so the assignment is a pure function of
-  // the plan's position — never of shard timing, RNG state, or the shard
-  // count used by previous iterations. Exposed for tests.
-  static int ShardOfEpisode(uint64_t iteration, int episode_index,
-                            int num_shards);
-
   // Fast feature selection for an unseen task (Algorithm 1 lines 22-24):
   // computes the task representation and executes one greedy episode. The
   // wall time of exactly this path is the paper's "execution time".
@@ -291,21 +276,19 @@ class Feat {
 
   Trajectory RunEpisode(const EpisodePlan& plan,
                         std::vector<int>* full_actions);
-  // Step-synchronous execution of the given planned episodes: per step, a
-  // serial plan-order planning pass (exploration draws), one batched greedy
-  // Q pass over every live driver, then a parallel environment-step pass.
-  // Fills `trajectories` and `episode_actions` indexed like `plans`.
+  // Step-synchronous execution of the given planned episodes on the calling
+  // thread: per step, a serial plan-order planning pass (exploration draws),
+  // one batched greedy Q pass over every live driver, then the environment
+  // steps. Fills `trajectories` and `episode_actions` indexed like `plans`.
   void CollectEpisodesBatched(const std::vector<const EpisodePlan*>& plans,
-                              int num_threads,
                               std::vector<Trajectory>* trajectories,
                               std::vector<std::vector<int>>* episode_actions);
-  // Batched buffer-filling phase: partitions `plans` over `num_shards` by
-  // ShardOfEpisode, runs each shard's CollectEpisodesBatched concurrently
-  // on the global pool (one shard runs inline with num_threads step
-  // executors), then merges the shard-local accumulators in (shard id, plan
-  // index) order — results are byte-equal regardless of which shard
-  // finishes first because no shard touches shared mutable state while
-  // collecting.
+  // Batched buffer-filling phase: gives plan i to shard i % num_shards, runs
+  // each shard's CollectEpisodesBatched concurrently on the global pool (a
+  // single shard runs inline on the caller), then merges the shard-local
+  // accumulators back to plan-index order — results are byte-equal
+  // regardless of which shard finishes first because no shard touches
+  // shared mutable state while collecting.
   void CollectEpisodesSharded(const std::vector<EpisodePlan>& plans,
                               int num_shards,
                               std::vector<Trajectory>* trajectories,
@@ -326,8 +309,8 @@ class Feat {
   std::unique_ptr<RewardShaper> reward_shaper_;
   std::vector<double> last_probabilities_;
   int focus_slot_ = -1;
-  // 0-based index of the next RunIteration call; keys the shard-assignment
-  // hash.
+  // 0-based index of the next RunIteration call (saved with the training
+  // state).
   uint64_t iteration_index_ = 0;
   // Running replay-eviction total at the end of the previous iteration
   // (buffers only expose running counters; cache traffic drains windows).

@@ -231,13 +231,12 @@ TEST(ConcurrencyStressTest, SubsetEvaluatorStampedeStress) {
 }
 
 // The batched inference plane's rendezvous under contention: every step
-// alternates a serial batched forward pass with a parallel environment-step
-// fan-out over the same drivers (core/feat.cc CollectEpisodesBatched). With
-// more episodes than the per-iteration default and more workers than
-// episodes, TSan sees the full hand-off pattern — driver state written on
-// the main thread (planned actions), read and advanced on pool workers,
-// then read again on the main thread next step. The serial/batched and
-// 1-vs-8-thread runs must also stay bit-identical through the stress
+// alternates a batched forward pass with the environment steps of the same
+// drivers (core/feat.cc CollectEpisodesBatched). With more episodes than the
+// per-iteration default and 8 threads, each of the 8 collector shards runs
+// that loop on its own pool worker, so TSan sees the shared agent and reward
+// cache under concurrent shards while the main thread waits at the merge.
+// The 1-vs-8-thread runs must also stay bit-identical through the stress
 // (the full field-by-field equivalence lives in batched_inference_test.cc).
 TEST(ConcurrencyStressTest, BatchedCollectionRendezvousStress) {
   SyntheticSpec spec;
@@ -276,13 +275,14 @@ TEST(ConcurrencyStressTest, ShardedCollectionRendezvousStress) {
   // The sharded collector fan-out under contention: each shard runs its own
   // step-synchronous loop on a pool worker while all of them hammer the
   // shared reward cache, and the merge must still be byte-deterministic.
-  // The tsan CI leg widens the fan-out via PAFEAT_SHARD_STRESS_SHARDS=4
-  // (any value in [1, 16] is honored — under TSan the interesting traffic
-  // is several shards racing on the evaluator locks).
-  int num_shards = 4;
+  // Collector shards follow num_threads; the tsan CI leg sets the thread
+  // count via PAFEAT_SHARD_STRESS_SHARDS=4 (any value in [1, 16] is honored
+  // — under TSan the interesting traffic is several shards racing on the
+  // evaluator locks).
+  int num_threads = 4;
   if (const char* env = std::getenv("PAFEAT_SHARD_STRESS_SHARDS")) {
     const int parsed = std::atoi(env);
-    if (parsed >= 1 && parsed <= 16) num_shards = parsed;
+    if (parsed >= 1 && parsed <= 16) num_threads = parsed;
   }
 
   SyntheticSpec spec;
@@ -300,7 +300,7 @@ TEST(ConcurrencyStressTest, ShardedCollectionRendezvousStress) {
 
   FeatConfig single_config = base;
   FeatConfig sharded_config = base;
-  sharded_config.num_shards = num_shards;
+  sharded_config.num_threads = num_threads;
 
   Feat single(&problem, dataset.SeenTaskIndices(), single_config);
   Feat sharded(&problem, dataset.SeenTaskIndices(), sharded_config);
@@ -308,7 +308,7 @@ TEST(ConcurrencyStressTest, ShardedCollectionRendezvousStress) {
     const IterationStats single_stats = single.RunIteration();
     const IterationStats sharded_stats = sharded.RunIteration();
     ASSERT_EQ(single_stats.mean_loss, sharded_stats.mean_loss)
-        << "iteration " << iteration << " num_shards " << num_shards;
+        << "iteration " << iteration << " num_threads " << num_threads;
     ASSERT_EQ(single_stats.episodes, sharded_stats.episodes);
     ASSERT_EQ(single_stats.task_probabilities,
               sharded_stats.task_probabilities);

@@ -8,7 +8,7 @@
 // priorities, reward-cache entries, Experience-Trees) followed by the online
 // parameters, after 8 iterations with the ITS and ITE on and with reward
 // cache and replay byte budgets that both evict. It must be the same at
-// every thread count and collector shard count.
+// every thread count (collector shards follow the thread count).
 //
 // fp32 results are a function of the active SIMD level: the portable kernels
 // round differently from FMA hardware, while avx2 and avx512 are
@@ -61,7 +61,7 @@ struct GoldenRun {
   long long replay_evictions = 0;
 };
 
-GoldenRun RunGoldenTraining(int num_threads, int num_shards) {
+GoldenRun RunGoldenTraining(int num_threads) {
   SyntheticSpec spec;
   spec.num_instances = 300;
   spec.num_features = 10;
@@ -78,7 +78,6 @@ GoldenRun RunGoldenTraining(int num_threads, int num_shards) {
   config.feat = DefaultFeatOptions(50, 23).feat;
   config.feat.envs_per_iteration = 8;
   config.feat.num_threads = num_threads;
-  config.feat.num_shards = num_shards;
   config.feat.replay_budget_bytes = 8192;
   config.use_its = true;
   PaFeat pafeat(&problem, dataset.SeenTaskIndices(), config);
@@ -101,16 +100,14 @@ GoldenRun RunGoldenTraining(int num_threads, int num_shards) {
 
 TEST(GoldenTrainingTest, BoundedRunMatchesRecordedDigest) {
   const std::uint64_t expected = ExpectedDigest();
-  for (int num_threads : {1, 8}) {
-    for (int num_shards : {1, 3}) {
-      const GoldenRun run = RunGoldenTraining(num_threads, num_shards);
-      // Both budgets must bind, or the digest does not pin eviction.
-      EXPECT_GT(run.cache_evictions, 0);
-      EXPECT_GT(run.replay_evictions, 0);
-      EXPECT_EQ(run.digest, expected)
-          << std::hex << "digest 0x" << run.digest << " at " << std::dec
-          << num_threads << " threads, " << num_shards << " shards";
-    }
+  for (int num_threads : {1, 3, 8}) {
+    const GoldenRun run = RunGoldenTraining(num_threads);
+    // Both budgets must bind, or the digest does not pin eviction.
+    EXPECT_GT(run.cache_evictions, 0);
+    EXPECT_GT(run.replay_evictions, 0);
+    EXPECT_EQ(run.digest, expected)
+        << std::hex << "digest 0x" << run.digest << " at " << std::dec
+        << num_threads << " threads";
   }
 }
 

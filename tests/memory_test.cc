@@ -289,7 +289,7 @@ struct BoundedOutcome {
   std::vector<IterationStats> stats;
 };
 
-BoundedOutcome RunBoundedTraining(int num_threads, int collector_shards) {
+BoundedOutcome RunBoundedTraining(int num_threads) {
   SyntheticDataset dataset = MemoryDataset();
   FsProblemConfig problem_config = DefaultProblemConfig(true);
   // Tight enough that both planes evict continuously at this scale.
@@ -298,7 +298,6 @@ BoundedOutcome RunBoundedTraining(int num_threads, int collector_shards) {
   FeatConfig config = DefaultFeatOptions(50, 23).feat;
   config.envs_per_iteration = 8;
   config.num_threads = num_threads;
-  config.num_shards = collector_shards;
   config.replay_budget_bytes = 8192;
   Feat feat(&problem, dataset.SeenTaskIndices(), config);
   BoundedOutcome outcome;
@@ -338,8 +337,7 @@ void ExpectSameBoundedOutcome(const BoundedOutcome& base,
 }
 
 TEST(BoundedTrainingTest, ForcedEvictionIsThreadAndShardCountInvariant) {
-  const BoundedOutcome base =
-      RunBoundedTraining(/*num_threads=*/1, /*collector_shards=*/1);
+  const BoundedOutcome base = RunBoundedTraining(/*num_threads=*/1);
 
   // The budgets must actually bind, or this test proves nothing.
   long long cache_evictions = 0;
@@ -351,10 +349,10 @@ TEST(BoundedTrainingTest, ForcedEvictionIsThreadAndShardCountInvariant) {
   ASSERT_GT(cache_evictions, 0) << "cache budget did not bind";
   ASSERT_GT(replay_evictions, 0) << "replay budget did not bind";
 
-  ExpectSameBoundedOutcome(base, RunBoundedTraining(8, 1), "8 threads");
-  ExpectSameBoundedOutcome(base, RunBoundedTraining(1, 4), "4 shards");
-  ExpectSameBoundedOutcome(base, RunBoundedTraining(8, 4),
-                           "8 threads, 4 shards");
+  // Collector shards follow the thread count, so these cover the shard
+  // counts too.
+  ExpectSameBoundedOutcome(base, RunBoundedTraining(4), "4 threads");
+  ExpectSameBoundedOutcome(base, RunBoundedTraining(8), "8 threads");
 }
 
 }  // namespace
