@@ -152,9 +152,11 @@ int RunSelect(const Table& table, const std::string& label,
   }
   ServeConfig serve;
   serve.quantized = quantized;
-  const auto selector = CheckpointedSelector::FromFile(agent_path, serve);
+  std::string error;
+  const auto selector =
+      CheckpointedSelector::FromFile(agent_path, serve, &error);
   if (!selector.has_value()) {
-    std::fprintf(stderr, "cannot load agent from %s\n", agent_path.c_str());
+    std::fprintf(stderr, "cannot load agent: %s\n", error.c_str());
     return 1;
   }
   if (selector->num_features() != table.num_features()) {
@@ -199,9 +201,10 @@ int RunSelect(const Table& table, const std::string& label,
 }
 
 int RunInfo(const std::string& agent_path) {
-  const auto checkpoint = LoadCheckpoint(agent_path);
+  std::string error;
+  const auto checkpoint = LoadCheckpoint(agent_path, &error);
   if (!checkpoint.has_value()) {
-    std::fprintf(stderr, "cannot load %s\n", agent_path.c_str());
+    std::fprintf(stderr, "cannot load agent: %s\n", error.c_str());
     return 1;
   }
   std::printf("agent checkpoint %s:\n", agent_path.c_str());

@@ -1,11 +1,15 @@
 #include "core/checkpoint.h"
 
+#include <unistd.h>
+
 #include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <cstdio>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
+#include "memory/persistence.h"
 #include "rl/fs_env.h"
 
 namespace pafeat {
@@ -23,53 +27,76 @@ constexpr uint32_t kVersion = 2;
 constexpr uint32_t kTrainingVersion = 3;
 constexpr uint32_t kMaxVersion = 3;
 
-template <typename T>
-void WriteScalar(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
+struct FileCloser {
+  void operator()(std::FILE* file) const { std::fclose(file); }
+};
+using File = std::unique_ptr<std::FILE, FileCloser>;
 
-template <typename T>
-bool ReadScalar(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(*value));
-  return static_cast<bool>(in);
-}
-
-// Shared agent section of every format version. `why` receives the
-// unprefixed failure reason (callers add the path).
-void WriteAgentSection(std::ostream& out, const AgentCheckpoint& checkpoint,
-                       uint32_t version) {
-  WriteScalar(out, kMagic);
-  WriteScalar(out, version);
-  WriteScalar(out, static_cast<int32_t>(checkpoint.net_config.input_dim));
-  WriteScalar(out, static_cast<int32_t>(checkpoint.net_config.num_actions));
-  WriteScalar(out, static_cast<uint8_t>(
-                       checkpoint.net_config.extra_rescale_layer ? 1 : 0));
-  WriteScalar(out,
-              static_cast<int32_t>(checkpoint.net_config.trunk_hidden.size()));
-  for (int h : checkpoint.net_config.trunk_hidden) {
-    WriteScalar(out, static_cast<int32_t>(h));
+// Reads the whole file at `path` into `bytes`; false if it cannot be opened
+// or read (a directory, say). Every checkpoint parse then runs on these
+// bytes, so no field can ask for more memory than the file holds.
+bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* bytes) {
+  const File file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) return false;
+  uint8_t chunk[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), file.get())) > 0) {
+    bytes->insert(bytes->end(), chunk, chunk + got);
   }
-  WriteScalar(out, checkpoint.weight_format);
-  WriteScalar(out, checkpoint.max_feature_ratio);
-  WriteScalar(out, static_cast<uint64_t>(checkpoint.parameters.size()));
-  out.write(reinterpret_cast<const char*>(checkpoint.parameters.data()),
-            static_cast<std::streamsize>(checkpoint.parameters.size() *
-                                         sizeof(float)));
+  return std::ferror(file.get()) == 0;
 }
 
-std::optional<AgentCheckpoint> ParseAgentSection(std::istream& in,
-                                                 uint32_t* version_out,
-                                                 std::string* why) {
+// Crash-safe replace: the bytes go to `<path>.tmp`, which is flushed to disk
+// and then renamed over `path`, so a crash leaves either the old file or the
+// complete new one — never a torn checkpoint.
+bool WriteFileAtomic(const std::string& path,
+                     const std::vector<uint8_t>& bytes) {
+  const std::string tmp = path + ".tmp";
+  File file(std::fopen(tmp.c_str(), "wb"));
+  if (file == nullptr) return false;
+  const bool synced =
+      std::fwrite(bytes.data(), 1, bytes.size(), file.get()) == bytes.size() &&
+      std::fflush(file.get()) == 0 && ::fsync(::fileno(file.get())) == 0;
+  if (std::fclose(file.release()) != 0 || !synced ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
+// Shared agent section of every format version.
+void WriteAgentSection(const AgentCheckpoint& checkpoint, uint32_t version,
+                       ByteWriter* out) {
+  const DuelingNetConfig& net = checkpoint.net_config;
+  out->U32(kMagic);
+  out->U32(version);
+  out->I32(net.input_dim);
+  out->I32(net.num_actions);
+  out->U8(net.extra_rescale_layer ? 1 : 0);
+  out->I32(static_cast<int32_t>(net.trunk_hidden.size()));
+  for (const int h : net.trunk_hidden) out->I32(h);
+  out->U8(checkpoint.weight_format);
+  out->F64(checkpoint.max_feature_ratio);
+  out->Vector(checkpoint.parameters);
+}
+
+// Parses a whole checkpoint file; the v3 training-state trailer only when
+// `with_training_state` (otherwise its bytes are ignored). `why` receives
+// the unprefixed failure reason (callers add the path).
+std::optional<TrainingCheckpoint> ParseCheckpoint(
+    const std::vector<uint8_t>& bytes, bool with_training_state,
+    std::string* why) {
   const auto fail = [&](const std::string& reason) {
     *why = reason;
-    return std::optional<AgentCheckpoint>();
+    return std::optional<TrainingCheckpoint>();
   };
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  if (!ReadScalar(in, &magic) || magic != kMagic) {
+  ByteReader in(bytes);
+  if (in.U32() != kMagic || !in.ok()) {
     return fail("not a PA-FEAT checkpoint (bad magic)");
   }
-  if (!ReadScalar(in, &version) || version < 1) {
+  const uint32_t version = in.U32();
+  if (!in.ok() || version < 1) {
     return fail("corrupt checkpoint header (bad format version)");
   }
   if (version > kMaxVersion) {
@@ -77,66 +104,71 @@ std::optional<AgentCheckpoint> ParseAgentSection(std::istream& in,
                 " is newer than this binary understands (max " +
                 std::to_string(kMaxVersion) + ")");
   }
-  *version_out = version;
 
-  AgentCheckpoint checkpoint;
-  int32_t input_dim = 0;
-  int32_t num_actions = 0;
-  uint8_t extra_layer = 0;
-  int32_t num_hidden = 0;
-  if (!ReadScalar(in, &input_dim) || input_dim <= 0) {
-    return fail("truncated or corrupt checkpoint (input dim)");
-  }
-  if (!ReadScalar(in, &num_actions) || num_actions <= 1) {
-    return fail("truncated or corrupt checkpoint (action count)");
-  }
-  if (!ReadScalar(in, &extra_layer)) {
-    return fail("truncated checkpoint (rescale-layer flag)");
-  }
-  if (!ReadScalar(in, &num_hidden) || num_hidden <= 0 || num_hidden > 64) {
+  TrainingCheckpoint result;
+  AgentCheckpoint& checkpoint = result.agent;
+  DuelingNetConfig& net = checkpoint.net_config;
+  // Dimensions are range-checked by CheckpointConsistencyError below; the
+  // sticky reader makes one check cover truncation of all of them.
+  net.input_dim = in.I32();
+  net.num_actions = in.I32();
+  net.extra_rescale_layer = in.U8() != 0;
+  const int32_t num_hidden = in.I32();
+  if (num_hidden <= 0 || !in.Fits(num_hidden, sizeof(int32_t))) {
     return fail("truncated or corrupt checkpoint (trunk layer count)");
   }
-  checkpoint.net_config.input_dim = input_dim;
-  checkpoint.net_config.num_actions = num_actions;
-  checkpoint.net_config.extra_rescale_layer = extra_layer != 0;
-  checkpoint.net_config.trunk_hidden.clear();
-  for (int i = 0; i < num_hidden; ++i) {
-    int32_t h = 0;
-    if (!ReadScalar(in, &h) || h <= 0) {
-      return fail("truncated or corrupt checkpoint (trunk layer dims)");
-    }
-    checkpoint.net_config.trunk_hidden.push_back(h);
-  }
+  net.trunk_hidden.assign(num_hidden, 0);
+  for (int& h : net.trunk_hidden) h = in.I32();
   if (version >= 2) {
     // A format byte this binary does not know means a payload it cannot
     // parse — reject rather than misread (version 1 had no byte: fp32).
-    if (!ReadScalar(in, &checkpoint.weight_format)) {
-      return fail("truncated checkpoint (weight-format byte)");
-    }
+    checkpoint.weight_format = in.U8();
+    if (!in.ok()) return fail("truncated checkpoint (weight-format byte)");
     if (checkpoint.weight_format != kWeightFormatFp32) {
       return fail("unknown weight format " +
                   std::to_string(checkpoint.weight_format));
     }
-  } else {
-    checkpoint.weight_format = kWeightFormatFp32;
   }
-  if (!ReadScalar(in, &checkpoint.max_feature_ratio)) {
-    return fail("truncated checkpoint (max feature ratio)");
+  checkpoint.max_feature_ratio = in.F64();
+  if (!in.ok()) return fail("truncated checkpoint (max feature ratio)");
+  if (!in.Vector(&checkpoint.parameters)) {
+    return fail("truncated checkpoint payload");
   }
-  uint64_t param_count = 0;
-  if (!ReadScalar(in, &param_count) || param_count == 0 ||
-      param_count > (1ull << 31)) {
-    return fail("truncated or corrupt checkpoint (parameter count)");
-  }
-  checkpoint.parameters.resize(param_count);
-  in.read(reinterpret_cast<char*>(checkpoint.parameters.data()),
-          static_cast<std::streamsize>(param_count * sizeof(float)));
-  if (!in) return fail("truncated checkpoint payload");
 
   // The decoded checkpoint must pass the same consistency screen a served
   // publish does (parameter fit, valid ratio, serving action layout).
   const std::string inconsistency = CheckpointConsistencyError(checkpoint);
   if (!inconsistency.empty()) return fail(inconsistency);
+  if (!with_training_state || version < kTrainingVersion) return result;
+
+  const uint8_t has_training = in.U8();
+  const uint64_t blob_size = in.U64();
+  if (!in.ok()) return fail("truncated checkpoint (training-state header)");
+  if (has_training == 0) {
+    if (blob_size != 0) {
+      return fail("corrupt checkpoint (phantom training-state payload)");
+    }
+    return result;
+  }
+  if (blob_size == 0 || !in.Fits(blob_size, 1)) {
+    return fail("truncated or corrupt checkpoint (training-state size)");
+  }
+  result.training_state.resize(blob_size);
+  in.Raw(result.training_state.data(), blob_size);
+  return result;
+}
+
+std::optional<TrainingCheckpoint> LoadCheckpointFile(
+    const std::string& path, bool with_training_state, std::string* error) {
+  std::string why = "cannot open checkpoint file";
+  std::optional<TrainingCheckpoint> checkpoint;
+  std::vector<uint8_t> bytes;
+  if (ReadFileBytes(path, &bytes)) {
+    checkpoint = ParseCheckpoint(bytes, with_training_state, &why);
+  }
+  if (!checkpoint.has_value() && error != nullptr) {
+    *error = why + " (" + path + ")";
+  }
   return checkpoint;
 }
 
@@ -152,33 +184,19 @@ AgentCheckpoint MakeCheckpoint(const Feat& feat) {
 
 bool SaveCheckpoint(const AgentCheckpoint& checkpoint,
                     const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  WriteAgentSection(out, checkpoint, kVersion);
-  return static_cast<bool>(out);
-}
-
-std::optional<AgentCheckpoint> LoadCheckpoint(const std::string& path) {
-  return LoadCheckpoint(path, nullptr);
+  ByteWriter out;
+  WriteAgentSection(checkpoint, kVersion, &out);
+  return WriteFileAtomic(path, out.Take());
 }
 
 std::optional<AgentCheckpoint> LoadCheckpoint(const std::string& path,
                                               std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open checkpoint file (" + path + ")";
-    return std::nullopt;
-  }
-  uint32_t version = 0;
-  std::string why;
-  std::optional<AgentCheckpoint> checkpoint =
-      ParseAgentSection(in, &version, &why);
-  // A v3 trailer (training state) is deliberately ignored here: the serving
-  // path never pays for it.
-  if (!checkpoint.has_value() && error != nullptr) {
-    *error = why + " (" + path + ")";
-  }
-  return checkpoint;
+  // A v3 trailer (training state) is read with the file but not parsed:
+  // the serving path does not pay for decoding it.
+  std::optional<TrainingCheckpoint> loaded =
+      LoadCheckpointFile(path, /*with_training_state=*/false, error);
+  if (!loaded.has_value()) return std::nullopt;
+  return std::move(loaded->agent);
 }
 
 TrainingCheckpoint MakeTrainingCheckpoint(const PaFeat& pafeat) {
@@ -190,52 +208,17 @@ TrainingCheckpoint MakeTrainingCheckpoint(const PaFeat& pafeat) {
 
 bool SaveTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
                             const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  WriteAgentSection(out, checkpoint.agent, kTrainingVersion);
-  WriteScalar(out, static_cast<uint8_t>(
-                       checkpoint.has_training_state() ? 1 : 0));
-  WriteScalar(out, static_cast<uint64_t>(checkpoint.training_state.size()));
-  out.write(reinterpret_cast<const char*>(checkpoint.training_state.data()),
-            static_cast<std::streamsize>(checkpoint.training_state.size()));
-  return static_cast<bool>(out);
+  ByteWriter out;
+  WriteAgentSection(checkpoint.agent, kTrainingVersion, &out);
+  out.U8(checkpoint.has_training_state() ? 1 : 0);
+  out.U64(checkpoint.training_state.size());
+  out.Raw(checkpoint.training_state.data(), checkpoint.training_state.size());
+  return WriteFileAtomic(path, out.Take());
 }
 
 std::optional<TrainingCheckpoint> LoadTrainingCheckpoint(
     const std::string& path, std::string* error) {
-  const auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why + " (" + path + ")";
-    return std::optional<TrainingCheckpoint>();
-  };
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return fail("cannot open checkpoint file");
-  uint32_t version = 0;
-  std::string why;
-  std::optional<AgentCheckpoint> agent =
-      ParseAgentSection(in, &version, &why);
-  if (!agent.has_value()) return fail(why);
-  TrainingCheckpoint checkpoint;
-  checkpoint.agent = std::move(*agent);
-  if (version < kTrainingVersion) return checkpoint;  // cold: params only
-  uint8_t has_training = 0;
-  uint64_t blob_size = 0;
-  if (!ReadScalar(in, &has_training) || !ReadScalar(in, &blob_size)) {
-    return fail("truncated checkpoint (training-state header)");
-  }
-  if (has_training == 0) {
-    if (blob_size != 0) {
-      return fail("corrupt checkpoint (phantom training-state payload)");
-    }
-    return checkpoint;
-  }
-  if (blob_size == 0 || blob_size > (1ull << 33)) {
-    return fail("truncated or corrupt checkpoint (training-state size)");
-  }
-  checkpoint.training_state.resize(blob_size);
-  in.read(reinterpret_cast<char*>(checkpoint.training_state.data()),
-          static_cast<std::streamsize>(blob_size));
-  if (!in) return fail("truncated checkpoint (training-state payload)");
-  return checkpoint;
+  return LoadCheckpointFile(path, /*with_training_state=*/true, error);
 }
 
 bool RestoreTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
@@ -278,13 +261,17 @@ std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint) {
       checkpoint.max_feature_ratio > 1.0) {
     return "max feature ratio outside (0, 1]";
   }
-  // The parameter vector must exactly fit the architecture.
-  Rng probe_rng(0);
-  DuelingNet probe(net, &probe_rng);
-  if (probe.NumParams() != static_cast<int>(checkpoint.parameters.size())) {
+  // The parameter vector must exactly fit the architecture. The count
+  // comes from the config alone: no network is built to check a file.
+  // DuelingNet counts its parameters in an int, which bounds what it holds.
+  const int64_t expected = DuelingNet::ParamCount(net);
+  if (expected < 0 || expected > std::numeric_limits<int>::max()) {
+    return "architecture has more parameters than a network can hold";
+  }
+  if (static_cast<uint64_t>(expected) != checkpoint.parameters.size()) {
     return "parameter count " + std::to_string(checkpoint.parameters.size()) +
            " does not fit the architecture (expected " +
-           std::to_string(probe.NumParams()) + ")";
+           std::to_string(expected) + ")";
   }
   return "";
 }

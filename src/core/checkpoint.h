@@ -38,19 +38,20 @@ struct AgentCheckpoint {
 // Snapshot of a trained FEAT/PA-FEAT agent.
 AgentCheckpoint MakeCheckpoint(const Feat& feat);
 
-// Binary (de)serialization. Save returns false on I/O failure.
+// Binary (de)serialization. Save returns false on I/O failure and never
+// tears `path`: it writes `<path>.tmp`, fsyncs it and renames it over.
 bool SaveCheckpoint(const AgentCheckpoint& checkpoint,
                     const std::string& path);
-std::optional<AgentCheckpoint> LoadCheckpoint(const std::string& path);
 
 // Status-returning load for serving control planes (the SelectionServer's
 // PublishCheckpoint path must reject a bad file without dying): on failure,
 // `error` (when non-null) receives a one-line reason — missing file, bad
 // magic, format version newer than this binary, truncated payload, unknown
-// weight format, or a parameter vector that does not fit the architecture.
-// The plain overload above wraps this one with error == nullptr.
+// weight format, or a parameter vector that does not fit the architecture —
+// and the path. Every count is checked against the bytes present, so no
+// file makes a load allocate beyond its size; a v3 trailer is not parsed.
 std::optional<AgentCheckpoint> LoadCheckpoint(const std::string& path,
-                                              std::string* error);
+                                              std::string* error = nullptr);
 
 // Checkpoint format v3 (DESIGN.md "Bounded memory plane"): the v2 agent
 // layout followed by an opaque training-state blob — RNG stream, iteration
@@ -70,9 +71,8 @@ struct TrainingCheckpoint {
 // state).
 TrainingCheckpoint MakeTrainingCheckpoint(const PaFeat& pafeat);
 
-// Binary (de)serialization of the v3 format. Save returns false on I/O
-// failure; Load accepts v1-v3 files and surfaces corruption through `error`
-// exactly like LoadCheckpoint.
+// Binary (de)serialization of the v3 format, saved and loaded exactly like
+// SaveCheckpoint / LoadCheckpoint; Load accepts v1-v3 files.
 bool SaveTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
                             const std::string& path);
 std::optional<TrainingCheckpoint> LoadTrainingCheckpoint(

@@ -493,33 +493,6 @@ namespace {
 constexpr uint32_t kTrainingStateMagic = 0x50465453;
 constexpr uint32_t kTrainingStateVersion = 1;
 
-// Anything larger than this is a corrupt length field, not data.
-constexpr uint64_t kMaxSaneCount = 1ull << 31;
-
-void WriteF32Vector(ByteWriter* out, const std::vector<float>& values) {
-  out->U64(values.size());
-  out->Raw(values.data(), values.size() * sizeof(float));
-}
-
-bool ReadF32Vector(ByteReader* in, std::vector<float>* out) {
-  const uint64_t count = in->U64();
-  if (!in->ok() || count > kMaxSaneCount) return false;
-  out->resize(count);
-  return count == 0 || in->Raw(out->data(), count * sizeof(float));
-}
-
-void WriteF64Vector(ByteWriter* out, const std::vector<double>& values) {
-  out->U64(values.size());
-  out->Raw(values.data(), values.size() * sizeof(double));
-}
-
-bool ReadF64Vector(ByteReader* in, std::vector<double>* out) {
-  const uint64_t count = in->U64();
-  if (!in->ok() || count > kMaxSaneCount) return false;
-  out->resize(count);
-  return count == 0 || in->Raw(out->data(), count * sizeof(double));
-}
-
 }  // namespace
 
 void Feat::SerializeTrainingState(ByteWriter* out) const {
@@ -530,12 +503,12 @@ void Feat::SerializeTrainingState(ByteWriter* out) const {
 
   const DqnAgent::AgentTrainingState agent = agent_->ExportTrainingState();
   out->I64(agent.train_steps);
-  WriteF32Vector(out, agent.target_params);
+  out->Vector(agent.target_params);
   out->I64(agent.adam_step);
-  WriteF32Vector(out, agent.adam_m);
-  WriteF32Vector(out, agent.adam_v);
-  WriteF64Vector(out, agent.popart_mean);
-  WriteF64Vector(out, agent.popart_sq);
+  out->Vector(agent.adam_m);
+  out->Vector(agent.adam_v);
+  out->Vector(agent.popart_mean);
+  out->Vector(agent.popart_sq);
   out->Raw(agent.popart_init.data(), agent.popart_init.size());
 
   const uint32_t num_features =
@@ -601,16 +574,15 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
 
   DqnAgent::AgentTrainingState agent;
   agent.train_steps = in->I64();
-  if (!ReadF32Vector(in, &agent.target_params)) {
+  if (!in->Vector(&agent.target_params)) {
     return fail("truncated training state (target parameters)");
   }
   agent.adam_step = in->I64();
-  if (!ReadF32Vector(in, &agent.adam_m) ||
-      !ReadF32Vector(in, &agent.adam_v)) {
+  if (!in->Vector(&agent.adam_m) || !in->Vector(&agent.adam_v)) {
     return fail("truncated training state (optimizer moments)");
   }
-  if (!ReadF64Vector(in, &agent.popart_mean) ||
-      !ReadF64Vector(in, &agent.popart_sq)) {
+  if (!in->Vector(&agent.popart_mean) ||
+      !in->Vector(&agent.popart_sq)) {
     return fail("truncated training state (PopArt statistics)");
   }
   agent.popart_init.resize(agent.popart_mean.size());
@@ -633,6 +605,12 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
     return fail("training state was saved for a different task list");
   }
   const uint32_t words = (num_features + 63) / 64;
+  // Smallest encodings of the records below, for the count checks:
+  // trajectory = priority, return, count; transition = two (position,
+  // mask) states, action, reward, done; cache entry = key words, value.
+  const std::size_t trajectory_bytes = 8 + 8 + 4;
+  const std::size_t transition_bytes = 2 * (4 + num_features) + 4 + 4 + 1;
+  const std::size_t entry_bytes = 8 * words + 8;
   // A stored scan position indexes the task representation when a batch is
   // materialized, and TrainBatch aborts on an action outside {0, 1}.
   const auto position_ok = [&](int32_t position) {
@@ -644,7 +622,7 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
       return fail("training state was saved for a different task order");
     }
     const uint32_t return_count = in->U32();
-    if (!in->ok() || return_count > kMaxSaneCount) {
+    if (!in->Fits(return_count, sizeof(double))) {
       return fail("corrupt training state (recent-return count)");
     }
     task.recent_returns.clear();
@@ -652,7 +630,7 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
       task.recent_returns.push_back(in->F64());
     }
     const uint32_t trajectory_count = in->U32();
-    if (!in->ok() || trajectory_count > kMaxSaneCount) {
+    if (!in->Fits(trajectory_count, trajectory_bytes)) {
       return fail("corrupt training state (trajectory count)");
     }
     for (uint32_t t = 0; t < trajectory_count; ++t) {
@@ -660,7 +638,7 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
       Trajectory trajectory;
       trajectory.episode_return = in->F64();
       const uint32_t transition_count = in->U32();
-      if (!in->ok() || transition_count > kMaxSaneCount) {
+      if (!in->Fits(transition_count, transition_bytes)) {
         return fail("corrupt training state (transition count)");
       }
       trajectory.transitions.resize(transition_count);
@@ -687,7 +665,8 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
     }
     const uint32_t entry_count = in->U32();
     const uint32_t saved_words = in->U32();
-    if (!in->ok() || entry_count > kMaxSaneCount || saved_words != words) {
+    if (!in->ok() || saved_words != words ||
+        !in->Fits(entry_count, entry_bytes)) {
       return fail("corrupt training state (reward-cache header)");
     }
     for (uint32_t e = 0; e < entry_count; ++e) {
@@ -713,14 +692,7 @@ FeatureMask Feat::SelectForRepresentation(
 }
 
 std::vector<FeatureMask> Feat::SelectForRepresentations(
-    const std::vector<std::vector<float>>& reprs,
-    const ServeConfig& serve) const {
-  if (serve.quantized) {
-    const QuantizedDuelingNet quantized(
-        agent_->online_net().config(),
-        agent_->online_net().SerializeParams());
-    return GreedySelectSubsets(quantized, reprs, config_.max_feature_ratio);
-  }
+    const std::vector<std::vector<float>>& reprs) const {
   return GreedySelectSubsets(agent_->online_net(), reprs,
                              config_.max_feature_ratio);
 }

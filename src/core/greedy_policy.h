@@ -10,9 +10,9 @@
 namespace pafeat {
 
 // Serving-tier options for the greedy/zero-shot execution path (DESIGN.md
-// "Quantized serving tier"). Plumbed through Feat::SelectForRepresentations
-// / PaFeat::SelectFeaturesForTasks / CheckpointedSelector; the default is
-// the bitwise fp32 plane.
+// "Quantized serving tier"). A serving-side choice only: CheckpointedSelector
+// and SelectionServer (ServerConfig::serve) build the int8 net once per
+// checkpoint; the default is the bitwise fp32 plane.
 struct ServeConfig {
   // Route Q queries through the int8 QuantizedDuelingNet. Outside the
   // bitwise determinism contract: selections are validated by subset-match

@@ -60,7 +60,8 @@ bool PaFeat::RestoreTrainingState(const std::vector<std::uint8_t>& blob,
   // live explorer actually takes the nodes.
   for (int slot = 0; slot < feat_->num_tasks(); ++slot) {
     const std::uint32_t node_count = reader.U32();
-    if (!reader.ok() || node_count > (1u << 30)) {
+    // A node is child0, child1, visits (I32 each) and value_sum (F64).
+    if (!reader.Fits(node_count, 4 + 4 + 4 + 8)) {
       return fail("corrupt training state (E-Tree node count)");
     }
     std::vector<ETree::NodeData> nodes(node_count);
@@ -88,15 +89,14 @@ FeatureMask PaFeat::SelectFeatures(int unseen_label_index,
 
 std::vector<FeatureMask> PaFeat::SelectFeaturesForTasks(
     const std::vector<int>& unseen_label_indices,
-    double* execution_seconds, const ServeConfig& serve) {
+    double* execution_seconds) {
   WallTimer timer;
   std::vector<std::vector<float>> reprs;
   reprs.reserve(unseen_label_indices.size());
   for (int label_index : unseen_label_indices) {
     reprs.push_back(feat_->problem().ComputeTaskRepresentation(label_index));
   }
-  std::vector<FeatureMask> masks =
-      feat_->SelectForRepresentations(reprs, serve);
+  std::vector<FeatureMask> masks = feat_->SelectForRepresentations(reprs);
   if (execution_seconds != nullptr) {
     *execution_seconds = timer.ElapsedSeconds();
   }

@@ -3,17 +3,16 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace pafeat {
 
-// Little-endian byte-blob primitives for the training-state section of
-// checkpoint format v3 (DESIGN.md "Bounded memory plane" / persistence).
-// Writers never fail; readers track a sticky ok flag so a truncated or
-// corrupt blob degrades into one error check at the end of a parse instead
-// of a check per field. Layout matches the raw-scalar convention of the
-// agent checkpoint (host endianness; the format ships with the process).
+// Little-endian byte-blob primitives: the one codec for every checkpoint
+// byte (DESIGN.md "Bounded memory plane" / persistence), raw host-endian
+// scalars. Writers never fail; readers track a sticky ok flag so a corrupt
+// blob costs one error check per parse, not one per field, and accept a
+// record count only if the records fit in the bytes that remain (Fits).
 
 class ByteWriter {
  public:
@@ -28,8 +27,13 @@ class ByteWriter {
     const auto* bytes = static_cast<const std::uint8_t*>(data);
     buffer_.insert(buffer_.end(), bytes, bytes + size);
   }
+  // u64 element count, then the raw elements (float or double).
+  template <typename T>
+  void Vector(const std::vector<T>& values) {
+    U64(values.size());
+    Raw(values.data(), values.size() * sizeof(T));
+  }
 
-  const std::vector<std::uint8_t>& data() const { return buffer_; }
   std::vector<std::uint8_t> Take() { return std::move(buffer_); }
 
  private:
@@ -38,10 +42,8 @@ class ByteWriter {
 
 class ByteReader {
  public:
-  ByteReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
   explicit ByteReader(const std::vector<std::uint8_t>& blob)
-      : ByteReader(blob.data(), blob.size()) {}
+      : data_(blob.data()), size_(blob.size()) {}
 
   std::uint8_t U8() { return Scalar<std::uint8_t>(); }
   std::uint32_t U32() { return Scalar<std::uint32_t>(); }
@@ -55,9 +57,26 @@ class ByteReader {
       ok_ = false;
       return false;
     }
-    std::memcpy(out, data_ + pos_, size);
+    if (size > 0) std::memcpy(out, data_ + pos_, size);
     pos_ += size;
     return true;
+  }
+
+  // The length check: `count` records whose smallest encoding is
+  // `min_bytes` (>= 1) each fit only if count * min_bytes <= remaining();
+  // otherwise the reader goes not-ok. Returns ok().
+  bool Fits(std::uint64_t count, std::size_t min_bytes) {
+    if (ok_ && count > remaining() / min_bytes) ok_ = false;
+    return ok_;
+  }
+  // Counterpart of ByteWriter::Vector; false on a count the remaining
+  // bytes cannot hold.
+  template <typename T>
+  bool Vector(std::vector<T>* out) {
+    const std::uint64_t count = U64();
+    if (!Fits(count, sizeof(T))) return false;
+    out->resize(count);
+    return Raw(out->data(), count * sizeof(T));
   }
 
   bool ok() const { return ok_; }

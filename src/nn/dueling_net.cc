@@ -27,6 +27,24 @@ MlpConfig HeadConfig(int input_dim, int output_dim) {
   return mlp;
 }
 
+// Adds every layer's (fan_in + 1) x fan_out weights and biases to *total;
+// false on a non-positive dimension or int64 overflow.
+bool AddMlpParamCount(const MlpConfig& mlp, std::int64_t* total) {
+  std::int64_t fan_in = mlp.input_dim;
+  std::vector<int> fan_outs = mlp.hidden_dims;
+  fan_outs.push_back(mlp.output_dim);
+  for (const std::int64_t fan_out : fan_outs) {
+    std::int64_t layer = 0;
+    if (fan_in <= 0 || fan_out <= 0 ||
+        __builtin_mul_overflow(fan_in + 1, fan_out, &layer) ||
+        __builtin_add_overflow(*total, layer, total)) {
+      return false;
+    }
+    fan_in = fan_out;
+  }
+  return true;
+}
+
 }  // namespace
 
 DuelingNet::DuelingNet(const DuelingNetConfig& config, Rng* rng)
@@ -178,8 +196,20 @@ bool DuelingNet::DeserializeParams(const std::vector<float>& flat) {
 }
 
 int DuelingNet::NumParams() const {
-  return trunk_.NumParams() + value_head_.NumParams() +
-         advantage_head_.NumParams();
+  return static_cast<int>(ParamCount(config_));
+}
+
+std::int64_t DuelingNet::ParamCount(const DuelingNetConfig& config) {
+  if (config.trunk_hidden.empty()) return -1;
+  const MlpConfig trunk = TrunkConfig(config);
+  std::int64_t total = 0;
+  if (!AddMlpParamCount(trunk, &total) ||
+      !AddMlpParamCount(HeadConfig(trunk.output_dim, 1), &total) ||
+      !AddMlpParamCount(HeadConfig(trunk.output_dim, config.num_actions),
+                        &total)) {
+    return -1;
+  }
+  return total;
 }
 
 }  // namespace pafeat

@@ -1,6 +1,7 @@
 #ifndef PAFEAT_NN_DUELING_NET_H_
 #define PAFEAT_NN_DUELING_NET_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -61,6 +62,11 @@ class DuelingNet {
 
   int NumParams() const;
   const DuelingNetConfig& config() const { return config_; }
+
+  // Parameter count of the net `config` describes, from the constructor's
+  // layer plan without building it; -1 on an empty trunk, a non-positive
+  // dimension or int64 overflow. NumParams() returns this value.
+  static std::int64_t ParamCount(const DuelingNetConfig& config);
 
  private:
   // Splits V (batch x 1) and A (batch x num_actions) into Q.

@@ -100,8 +100,9 @@ SelectionResponse SelectionServer::Select(
   // bundle when a swap is queued (admission resumes only after it applies),
   // else the one serving now.
   const NetBundle& admitting = pending_ != nullptr ? *pending_ : *current_;
+  // Written as a negated range test so a NaN ratio is rejected too.
   if (static_cast<int>(representation.size()) != admitting.num_features ||
-      max_feature_ratio > 1.0 || max_feature_ratio < 0.0) {
+      !(max_feature_ratio >= 0.0 && max_feature_ratio <= 1.0)) {
     ++stats_.rejected_bad_request;
     response.status = AdmissionStatus::kBadRequest;
     return response;

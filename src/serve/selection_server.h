@@ -128,7 +128,8 @@ class SelectionServer {
   // Blocks until the subset is ready (or the request is rejected). The
   // representation must match the serving network's feature count;
   // max_feature_ratio overrides the checkpoint's ratio for this request
-  // (0 = use the checkpoint's; values outside (0, 1] are kBadRequest).
+  // (0 = use the checkpoint's; NaN or values outside (0, 1] are
+  // kBadRequest).
   // The representation buffer is read by the serving thread until the call
   // returns — it must not be mutated concurrently (the blocking API makes
   // that automatic for the caller's own vector).

@@ -103,9 +103,8 @@ void QuantizeRowsInt8(int rows, int n, const float* x, int ldx,
 // binary at every level the host supports.
 enum class SimdCapability : int {
   kGeneric = 0,
-  kNeon = 1,  // reserved: an aarch64 TU slots in here, below the x86 levels
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
 // The level every kernel above dispatches to (probed once per process).
@@ -115,17 +114,13 @@ SimdCapability ActiveSimdCapability();
 // always available). Independent of the PAFEAT_SIMD clamp.
 bool SimdCapabilityAvailable(SimdCapability level);
 
-// Stable lower-case name ("generic", "neon", "avx2", "avx512") — the tokens
+// Stable lower-case name ("generic", "avx2", "avx512") — the tokens
 // PAFEAT_SIMD accepts and the bench/JSON tag.
 const char* SimdCapabilityName(SimdCapability level);
 
 // Parses a SimdCapabilityName token; returns false (and leaves *level
 // untouched) on anything else.
 bool ParseSimdCapability(const char* name, SimdCapability* level);
-
-// True when the active level is at least AVX2 (legacy spelling, kept for
-// tests and bench labeling that predate the ladder).
-bool UsingAvx2();
 
 // Test-only direct entry points: run one capability level's single-threaded
 // core, bypassing dispatch and the thread-pool row split. Return false

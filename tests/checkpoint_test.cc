@@ -1,5 +1,9 @@
 #include "core/checkpoint.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -8,6 +12,7 @@
 #include "core/defaults.h"
 #include "core/multi_run.h"
 #include "data/synthetic.h"
+#include "memory/persistence.h"
 
 namespace pafeat {
 namespace {
@@ -34,8 +39,10 @@ class CheckpointTest : public ::testing::Test {
     return GenerateSynthetic(spec);
   }
 
-  std::string TempPath() const {
-    return ::testing::TempDir() + "/pafeat_agent.ckpt";
+  // ctest runs each case in its own process, concurrently: cases that
+  // create side files pass their own tag so they never share a path.
+  std::string TempPath(const std::string& tag) const {
+    return ::testing::TempDir() + "/pafeat_" + tag + ".ckpt";
   }
 
   SyntheticDataset dataset_;
@@ -48,7 +55,7 @@ TEST_F(CheckpointTest, RoundTripPreservesSelections) {
   EXPECT_EQ(checkpoint.net_config.input_dim, 23);  // 2 * 10 + 3
   EXPECT_DOUBLE_EQ(checkpoint.max_feature_ratio, 0.4);
 
-  const std::string path = TempPath();
+  const std::string path = TempPath("round_trip");
   ASSERT_TRUE(SaveCheckpoint(checkpoint, path));
   const auto restored = CheckpointedSelector::FromFile(path);
   ASSERT_TRUE(restored.has_value());
@@ -76,7 +83,7 @@ TEST_F(CheckpointTest, LoadRejectsMissingFile) {
 }
 
 TEST_F(CheckpointTest, LoadRejectsCorruptedMagic) {
-  const std::string path = TempPath();
+  const std::string path = TempPath("corrupt_magic");
   {
     std::ofstream out(path, std::ios::binary);
     out << "garbage data that is not a checkpoint at all";
@@ -86,7 +93,7 @@ TEST_F(CheckpointTest, LoadRejectsCorruptedMagic) {
 }
 
 TEST_F(CheckpointTest, LoadRejectsTruncatedFile) {
-  const std::string path = TempPath();
+  const std::string path = TempPath("truncated_file");
   ASSERT_TRUE(SaveCheckpoint(MakeCheckpoint(*feat_), path));
   // Truncate to half.
   std::ifstream in(path, std::ios::binary);
@@ -122,7 +129,7 @@ TEST_F(CheckpointTest, LoadAcceptsVersion1File) {
   // A version-1 file is today's layout minus the weight-format byte. Splice
   // one out of a fresh save so the pre-ladder format keeps loading forever.
   const AgentCheckpoint checkpoint = MakeCheckpoint(*feat_);
-  const std::string path = TempPath();
+  const std::string path = TempPath("version1");
   ASSERT_TRUE(SaveCheckpoint(checkpoint, path));
   std::string bytes = ReadAll(path);
   bytes.erase(WeightFormatOffset(checkpoint), 1);
@@ -138,7 +145,7 @@ TEST_F(CheckpointTest, LoadAcceptsVersion1File) {
 }
 
 TEST_F(CheckpointTest, LoadRejectsFutureVersion) {
-  const std::string path = TempPath();
+  const std::string path = TempPath("future_version");
   ASSERT_TRUE(SaveCheckpoint(MakeCheckpoint(*feat_), path));
   std::string bytes = ReadAll(path);
   bytes[4] = 4;  // a version this binary does not know
@@ -153,7 +160,7 @@ TEST_F(CheckpointTest, LoadRejectsFutureVersion) {
 
 TEST_F(CheckpointTest, LoadRejectsUnknownWeightFormat) {
   const AgentCheckpoint checkpoint = MakeCheckpoint(*feat_);
-  const std::string path = TempPath();
+  const std::string path = TempPath("weight_format");
   ASSERT_TRUE(SaveCheckpoint(checkpoint, path));
   std::string bytes = ReadAll(path);
   bytes[WeightFormatOffset(checkpoint)] = 7;  // not kWeightFormatFp32
@@ -168,7 +175,7 @@ TEST_F(CheckpointTest, LoadRejectsUnknownWeightFormat) {
 TEST_F(CheckpointTest, LoadRejectsParameterCountMismatch) {
   AgentCheckpoint checkpoint = MakeCheckpoint(*feat_);
   checkpoint.parameters.pop_back();
-  const std::string path = TempPath();
+  const std::string path = TempPath("count_mismatch");
   ASSERT_TRUE(SaveCheckpoint(checkpoint, path));
   std::string error;
   EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
@@ -178,7 +185,7 @@ TEST_F(CheckpointTest, LoadRejectsParameterCountMismatch) {
 }
 
 TEST_F(CheckpointTest, LoadRejectsTruncatedPayloadWithReason) {
-  const std::string path = TempPath();
+  const std::string path = TempPath("truncated_payload");
   ASSERT_TRUE(SaveCheckpoint(MakeCheckpoint(*feat_), path));
   std::string bytes = ReadAll(path);
   bytes.resize(bytes.size() - 16);  // chop the parameter payload's tail
@@ -187,6 +194,97 @@ TEST_F(CheckpointTest, LoadRejectsTruncatedPayloadWithReason) {
   EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
   EXPECT_NE(error.find("truncated checkpoint payload"), std::string::npos)
       << error;
+  std::remove(path.c_str());
+}
+
+// Hostile headers: each declares far more than the file holds. The load
+// must return a reason without allocating what the header asks for.
+
+// 46 bytes: a v2 header for an input dim of 2^30 + 1 and one trunk layer of
+// width 2^30 — about 2^60 weights — followed by one parameter.
+TEST_F(CheckpointTest, LoadRejectsHeaderDeclaringAnImpossibleNetwork) {
+  ByteWriter header;
+  header.U32(0x50414643);  // magic
+  header.U32(2);           // format version
+  header.I32((1 << 30) + 1);
+  header.I32(2);           // actions
+  header.U8(0);            // no rescale layer
+  header.I32(1);           // trunk layers
+  header.I32(1 << 30);
+  header.U8(kWeightFormatFp32);
+  header.F64(0.5);
+  header.U64(1);  // parameter count
+  header.F32(0.0f);
+  const std::vector<std::uint8_t> bytes = header.Take();
+  ASSERT_EQ(bytes.size(), 46u);
+  const std::string path = TempPath("hostile_net");
+  WriteAll(path, std::string(bytes.begin(), bytes.end()));
+  std::string error;
+  EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("more parameters than a network can hold"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+// 45 bytes: a v1 header for a small net that declares 2^31 parameters and
+// carries none of them.
+TEST_F(CheckpointTest, LoadRejectsParameterCountBeyondTheFile) {
+  ByteWriter header;
+  header.U32(0x50414643);
+  header.U32(1);
+  header.I32(23);
+  header.I32(2);
+  header.U8(0);
+  header.I32(2);
+  header.I32(64);
+  header.I32(64);
+  header.F64(0.5);
+  header.U64(std::uint64_t{1} << 31);
+  const std::vector<std::uint8_t> bytes = header.Take();
+  ASSERT_EQ(bytes.size(), 45u);
+  const std::string path = TempPath("hostile_count");
+  WriteAll(path, std::string(bytes.begin(), bytes.end()));
+  std::string error;
+  EXPECT_FALSE(LoadCheckpoint(path, &error).has_value());
+  EXPECT_NE(error.find("truncated checkpoint payload"), std::string::npos)
+      << error;
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, SaveLeavesNoTemporarySibling) {
+  const std::string path = TempPath("atomic_save");
+  const AgentCheckpoint checkpoint = MakeCheckpoint(*feat_);
+  ASSERT_TRUE(SaveCheckpoint(checkpoint, path));
+  struct stat info;
+  EXPECT_NE(::stat((path + ".tmp").c_str(), &info), 0);
+  const auto loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->parameters, checkpoint.parameters);
+  std::remove(path.c_str());
+}
+
+// A save that cannot complete (here its temporary file cannot be created:
+// a directory holds the name) returns false and leaves the previous file
+// byte-identical. Works as root too — no permission bits involved.
+TEST_F(CheckpointTest, FailedSaveKeepsThePreviousFile) {
+  const std::string path = TempPath("failed_save");
+  const std::string tmp = path + ".tmp";
+  AgentCheckpoint checkpoint = MakeCheckpoint(*feat_);
+  ASSERT_TRUE(SaveCheckpoint(checkpoint, path));
+  const std::string before = ReadAll(path);
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+
+  checkpoint.max_feature_ratio = 0.25;
+  EXPECT_FALSE(SaveCheckpoint(checkpoint, path));
+  TrainingCheckpoint training;
+  training.agent = checkpoint;
+  training.training_state = {1, 2, 3};
+  EXPECT_FALSE(SaveTrainingCheckpoint(training, path));
+  EXPECT_EQ(ReadAll(path), before);
+
+  ::rmdir(tmp.c_str());
   std::remove(path.c_str());
 }
 

@@ -9,8 +9,13 @@
 #       it with ARGS. Also asserts that no checkpoint was written to --out.
 #   cli_bad_flag_check.sh serve SERVE FLAG [ARGS...]
 #       Runs `SERVE ARGS`.
+#   cli_bad_flag_check.sh checkpoint BINARY FLAG [ARGS...]
+#       Writes a hostile 46-byte v2 checkpoint (input dim 2^30 + 1, one trunk
+#       layer of width 2^30, one parameter present) and runs `BINARY ARGS`
+#       with every @CKPT@ argument replaced by its path.
 #
-# FLAG is the flag name the error message must mention (e.g. --mfr).
+# FLAG is what the error message must mention: the flag name (e.g. --mfr),
+# or in checkpoint mode the checkpoint's file name.
 set -u
 mode=$1
 binary=$2
@@ -32,6 +37,22 @@ case "$mode" in
     status=$?
     ;;
   serve)
+    "$binary" "$@" > "$workdir/stdout" 2> "$workdir/stderr"
+    status=$?
+    ;;
+  checkpoint)
+    ckpt="$workdir/$flag"
+    # magic "CFAP", version 2, input dim 0x40000001, 2 actions, no rescale
+    # layer, 1 trunk layer of width 0x40000000, fp32, ratio 0.5, 1 param.
+    printf '\103\106\101\120\002\000\000\000\001\000\000\100' > "$ckpt"
+    printf '\002\000\000\000\000\001\000\000\000\000\000\000\100' >> "$ckpt"
+    printf '\000\000\000\000\000\000\000\340\077' >> "$ckpt"
+    printf '\001\000\000\000\000\000\000\000\000\000\000\000' >> "$ckpt"
+    for arg; do
+      shift
+      [ "$arg" = @CKPT@ ] && arg=$ckpt
+      set -- "$@" "$arg"
+    done
     "$binary" "$@" > "$workdir/stdout" 2> "$workdir/stderr"
     status=$?
     ;;

@@ -16,6 +16,7 @@
 #include "core/defaults.h"
 #include "core/feat.h"
 #include "data/synthetic.h"
+#include "memory/persistence.h"
 #include "memory/reward_cache.h"
 #include "rl/replay_buffer.h"
 
@@ -250,6 +251,44 @@ TEST(ReplayBufferTest, BudgetEvictionKeepsAtLeastOne) {
   EXPECT_EQ(buffer.num_trajectories(), 1);
   // The survivor is the highest-(priority, sequence) trajectory.
   EXPECT_EQ(DumpBuffer(buffer), "3:3 ");
+}
+
+// --- byte codec -------------------------------------------------------------
+
+TEST(ByteReaderTest, CountsAreBoundedByTheBytesPresent) {
+  ByteWriter writer;
+  writer.Vector(std::vector<float>{1.5f, -2.0f});
+  writer.U64(3);
+  const std::vector<std::uint8_t> bytes = writer.Take();
+  ASSERT_EQ(bytes.size(), 8u + 8u + 8u);
+
+  ByteReader reader(bytes);
+  std::vector<float> floats;
+  ASSERT_TRUE(reader.Vector(&floats));
+  EXPECT_EQ(floats, (std::vector<float>{1.5f, -2.0f}));
+  EXPECT_TRUE(reader.Fits(2, 4));  // 8 bytes remain
+  EXPECT_TRUE(reader.Fits(0, 1));
+  EXPECT_FALSE(reader.Fits(9, 1));
+  EXPECT_FALSE(reader.ok());  // sticky
+  EXPECT_FALSE(reader.Fits(0, 1));
+}
+
+TEST(ByteReaderTest, HugeVectorCountIsRejectedBeforeAllocating) {
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 31, ~std::uint64_t{0}, std::uint64_t{3}}) {
+    ByteWriter writer;
+    writer.U64(count);
+    writer.F64(1.0);  // 8 payload bytes: room for two floats, one double
+    const std::vector<std::uint8_t> bytes = writer.Take();
+    ByteReader f32(bytes);
+    std::vector<float> floats;
+    EXPECT_FALSE(f32.Vector(&floats)) << count;
+    EXPECT_TRUE(floats.empty());
+    ByteReader f64(bytes);
+    std::vector<double> doubles;
+    EXPECT_FALSE(f64.Vector(&doubles)) << count;
+    EXPECT_TRUE(doubles.empty());
+  }
 }
 
 // --- end-to-end: forced-eviction training determinism ----------------------

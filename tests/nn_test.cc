@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -288,6 +290,41 @@ TEST(DuelingNetTest, ExtraRescaleLayerAddsParameters) {
   DuelingNet net_base(base, &rng);
   DuelingNet net_popart(popart, &rng);
   EXPECT_GT(net_popart.NumParams(), net_base.NumParams());
+}
+
+// ParamCount walks the constructor's layer plan without building a net; it
+// must equal what a built net actually stores, including the PopArt rescale
+// layer, and refuse configs it cannot count.
+TEST(DuelingNetTest, ParamCountMatchesBuiltNetwork) {
+  Rng rng(20);
+  for (const bool extra : {false, true}) {
+    for (const std::vector<int>& hidden :
+         {std::vector<int>{8}, std::vector<int>{16, 4},
+          std::vector<int>{5, 7, 3}}) {
+      DuelingNetConfig config;
+      config.input_dim = 23;
+      config.trunk_hidden = hidden;
+      config.extra_rescale_layer = extra;
+      const DuelingNet net(config, &rng);
+      EXPECT_EQ(DuelingNet::ParamCount(config),
+                static_cast<std::int64_t>(net.SerializeParams().size()));
+      EXPECT_EQ(DuelingNet::ParamCount(config), net.NumParams());
+    }
+  }
+  DuelingNetConfig empty_trunk;
+  empty_trunk.input_dim = 5;
+  empty_trunk.trunk_hidden = {};
+  EXPECT_EQ(DuelingNet::ParamCount(empty_trunk), -1);
+  DuelingNetConfig zero_width;
+  zero_width.input_dim = 5;
+  zero_width.trunk_hidden = {4, 0};
+  EXPECT_EQ(DuelingNet::ParamCount(zero_width), -1);
+  // A count wider than 64 bits is reported, not wrapped.
+  DuelingNetConfig huge;
+  constexpr int kMax = std::numeric_limits<int>::max();
+  huge.input_dim = kMax;
+  huge.trunk_hidden = {kMax, kMax, kMax};  // three ~2^62-weight layers
+  EXPECT_EQ(DuelingNet::ParamCount(huge), -1);
 }
 
 TEST(DuelingNetTest, SerializeRoundTrip) {

@@ -1,11 +1,14 @@
 #include "nn/quantized_net.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -233,41 +236,41 @@ TEST_F(QuantizedServingTest, DecisionsAgreeWhereverFp32MarginIsClear) {
 // deterministic rule, so their masks are exactly equal — this, unlike the
 // fp32 comparison above, is an equality contract.
 TEST_F(QuantizedServingTest, Int8TierIsConsistentAcrossEntryPoints) {
-  ServeConfig serve;
-  serve.quantized = true;
   const std::vector<std::vector<float>> reprs = AllRepresentations();
-  const std::vector<FeatureMask> via_feat =
-      feat_->SelectForRepresentations(reprs, serve);
+  const DuelingNet& fp32 = feat_->agent().online_net();
+  const QuantizedDuelingNet int8(fp32.config(), fp32.SerializeParams());
+  const std::vector<FeatureMask> direct =
+      GreedySelectSubsets(int8, reprs, feat_->config().max_feature_ratio);
 
   const int max_selectable = std::max(
       1, static_cast<int>(feat_->config().max_feature_ratio *
                           problem_.num_features()));
-  ASSERT_EQ(via_feat.size(), reprs.size());
-  for (size_t i = 0; i < via_feat.size(); ++i) {
-    EXPECT_GT(MaskCount(via_feat[i]), 0) << "task " << i;
-    EXPECT_LE(MaskCount(via_feat[i]), max_selectable) << "task " << i;
+  ASSERT_EQ(direct.size(), reprs.size());
+  for (size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_GT(MaskCount(direct[i]), 0) << "task " << i;
+    EXPECT_LE(MaskCount(direct[i]), max_selectable) << "task " << i;
   }
 
-  const DuelingNet& fp32 = feat_->agent().online_net();
-  const QuantizedDuelingNet int8(fp32.config(), fp32.SerializeParams());
-  EXPECT_EQ(GreedySelectSubsets(int8, reprs, feat_->config().max_feature_ratio),
-            via_feat);
-
+  ServeConfig serve;
+  serve.quantized = true;
   const AgentCheckpoint checkpoint = MakeCheckpoint(*feat_);
   const CheckpointedSelector fp32_selector(checkpoint);
   const CheckpointedSelector int8_selector(checkpoint, serve);
   EXPECT_FALSE(fp32_selector.quantized());
   EXPECT_TRUE(int8_selector.quantized());
-  EXPECT_EQ(int8_selector.SelectForRepresentations(reprs), via_feat);
+  EXPECT_EQ(int8_selector.SelectForRepresentations(reprs), direct);
   // Single-representation entry point routes through the same tier.
   for (size_t i = 0; i < reprs.size(); ++i) {
-    EXPECT_EQ(int8_selector.SelectForRepresentation(reprs[i]), via_feat[i])
+    EXPECT_EQ(int8_selector.SelectForRepresentation(reprs[i]), direct[i])
         << "task " << i;
   }
 }
 
 TEST_F(QuantizedServingTest, FromFileBuildsQuantizedTierOnce) {
-  const std::string path = ::testing::TempDir() + "/pafeat_quant.ckpt";
+  // The forced-downgrade ctest matrix runs this case in several processes
+  // at once; each saves to its own file.
+  const std::string path = ::testing::TempDir() + "/pafeat_quant_" +
+                           std::to_string(::getpid()) + ".ckpt";
   ASSERT_TRUE(SaveCheckpoint(MakeCheckpoint(*feat_), path));
   ServeConfig serve;
   serve.quantized = true;

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,6 +150,16 @@ TEST(SelectionServerTest, PerRequestRatioOverride) {
   EXPECT_EQ(server.Select(repr, 1.5).status, AdmissionStatus::kBadRequest);
   EXPECT_EQ(server.Select(repr, -0.3).status, AdmissionStatus::kBadRequest);
   EXPECT_EQ(server.Stats().rejected_bad_request, 2u);
+}
+
+TEST(SelectionServerTest, NanRatioOverrideIsRejected) {
+  SelectionServer server(MakeTestCheckpoint(10, 0.5, 33));
+  const SelectionResponse response = server.Select(
+      MakeRepresentation(10, 4), std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(response.status, AdmissionStatus::kBadRequest);
+  EXPECT_TRUE(response.mask.empty());
+  EXPECT_EQ(server.Stats().rejected_bad_request, 1u);
+  EXPECT_EQ(server.Stats().admitted, 0u);
 }
 
 TEST(SelectionServerTest, QuantizedTierMatchesStandaloneQuantized) {

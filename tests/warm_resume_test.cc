@@ -77,6 +77,14 @@ class WarmResumeTest : public ::testing::Test {
         problem_a_(dataset_.table, DefaultProblemConfig(true), 19),
         problem_b_(dataset_.table, DefaultProblemConfig(true), 19) {}
 
+  // Restores `blob` into a fresh PaFeat over a fresh problem.
+  bool RestoreIntoFreshInstance(const std::vector<std::uint8_t>& blob,
+                                std::string* error) {
+    FsProblem problem(dataset_.table, DefaultProblemConfig(true), 19);
+    PaFeat restored(&problem, dataset_.SeenTaskIndices(), ResumeConfig());
+    return restored.RestoreTrainingState(blob, error);
+  }
+
   SyntheticDataset dataset_;
   FsProblem problem_a_;
   FsProblem problem_b_;
@@ -217,16 +225,25 @@ TEST_F(WarmResumeTest, RestoreRejectsMismatchedTaskList) {
   EXPECT_FALSE(error.empty());
 }
 
-// Byte offset of the first stored transition in a PaFeat training-state
-// blob, found by walking the documented layout (Feat::SerializeTrainingState):
-// header and RNG, agent state, then per task its recent returns, replay
-// trajectories and reward-cache entries. Returns 0 if no task has a stored
-// transition.
-std::size_t FirstTransitionOffset(const std::vector<std::uint8_t>& blob) {
+// Byte offsets of fields in a PaFeat training-state blob, found by walking
+// the documented layout (Feat::SerializeTrainingState, then
+// PaFeat::SerializeTrainingState): header and RNG, agent state, then per
+// task its recent returns, replay trajectories and reward-cache entries,
+// then the explorer flag and the per-task E-Trees. A field that does not
+// occur (no stored transition, no explorer) stays at 0.
+struct BlobLayout {
+  std::size_t recent_return_count = 0;  // first task's
+  std::size_t transition_count = 0;     // first stored trajectory's
+  std::size_t transition = 0;           // first stored transition
+  std::size_t etree_node_count = 0;     // first task's E-Tree
+};
+
+BlobLayout WalkBlob(const std::vector<std::uint8_t>& blob) {
   ByteReader in(blob);
+  const auto offset = [&] { return blob.size() - in.remaining(); };
   const auto skip = [&](std::size_t bytes) {
-    std::vector<std::uint8_t> sink(bytes);
-    if (bytes > 0) in.Raw(sink.data(), bytes);
+    std::vector<std::uint8_t> sink(std::min(bytes, in.remaining()));
+    if (bytes > 0) in.Raw(sink.data(), bytes);  // past the end: not-ok
   };
   skip(2 * sizeof(std::uint32_t) + 7 * sizeof(std::uint64_t));  // to agent
   in.I64();                                                     // steps
@@ -238,30 +255,40 @@ std::size_t FirstTransitionOffset(const std::vector<std::uint8_t>& blob) {
   skip(popart * sizeof(double));                                // mean
   skip(in.U64() * sizeof(double));                              // sq
   skip(popart);                                                 // init flags
-  in.U32();                                                     // features
+  const std::uint32_t num_features = in.U32();
   const std::uint32_t num_tasks = in.U32();
+  BlobLayout layout;
   for (std::uint32_t task = 0; task < num_tasks && in.ok(); ++task) {
     in.I32();                                    // label index
+    if (task == 0) layout.recent_return_count = offset();
     skip(in.U32() * sizeof(double));             // recent returns
     const std::uint32_t trajectories = in.U32();
-    for (std::uint32_t t = 0; t < trajectories; ++t) {
+    for (std::uint32_t t = 0; t < trajectories && in.ok(); ++t) {
       skip(2 * sizeof(double));                  // priority, return
-      // Stored trajectories are never empty, so the first one holds the
-      // first transition.
-      if (in.U32() > 0) return blob.size() - in.remaining();
+      const std::size_t count_offset = offset();
+      const std::uint32_t transitions = in.U32();
+      if (layout.transition == 0 && transitions > 0) {
+        layout.transition_count = count_offset;
+        layout.transition = offset();
+      }
+      skip(std::size_t{transitions} *
+           (2 * (sizeof(std::int32_t) + num_features) +
+            sizeof(std::int32_t) + sizeof(float) + 1));
     }
     const std::uint32_t entries = in.U32();
     const std::uint32_t words = in.U32();
-    skip(entries * (words * sizeof(std::uint64_t) + sizeof(double)));
+    skip(std::size_t{entries} * (words * sizeof(std::uint64_t) +
+                                 sizeof(double)));
   }
-  return 0;
+  if (in.U8() != 0 && in.ok()) layout.etree_node_count = offset();
+  return layout;
 }
 
 TEST_F(WarmResumeTest, RestoreRejectsOutOfRangeTransitions) {
   PaFeat pafeat(&problem_a_, dataset_.SeenTaskIndices(), ResumeConfig());
   pafeat.Train(3);
   const std::vector<std::uint8_t> blob = pafeat.SerializeTrainingState();
-  const std::size_t transition = FirstTransitionOffset(blob);
+  const std::size_t transition = WalkBlob(blob).transition;
   ASSERT_GT(transition, 0u) << "no stored transition to corrupt";
   const std::size_t num_features = dataset_.table.num_features();
   // Transition layout: I32 position, mask, I32 next position, mask,
@@ -275,22 +302,52 @@ TEST_F(WarmResumeTest, RestoreRejectsOutOfRangeTransitions) {
     std::memcpy(bytes.data() + offset, &value, sizeof(value));
     return bytes;
   };
-  const auto restore = [&](const std::vector<std::uint8_t>& bytes,
-                           std::string* error) {
-    FsProblem problem(dataset_.table, DefaultProblemConfig(true), 19);
-    PaFeat restored(&problem, dataset_.SeenTaskIndices(), ResumeConfig());
-    return restored.RestoreTrainingState(bytes, error);
-  };
-
   // The unpatched blob restores, so the rejections below come from the
   // range checks, not from a misread layout.
   std::string error;
-  ASSERT_TRUE(restore(blob, &error)) << error;
-  EXPECT_FALSE(restore(patched(position_offset, -1), &error));
+  ASSERT_TRUE(RestoreIntoFreshInstance(blob, &error)) << error;
+  EXPECT_FALSE(RestoreIntoFreshInstance(patched(position_offset, -1), &error));
   EXPECT_FALSE(error.empty());
   error.clear();
-  EXPECT_FALSE(restore(patched(action_offset, 7), &error));
+  EXPECT_FALSE(RestoreIntoFreshInstance(patched(action_offset, 7), &error));
   EXPECT_FALSE(error.empty());
+}
+
+// Hostile counts: each patched count asks for far more records than the
+// blob holds (a transition count of 2^31 - 1 alone would size a ~150 GB
+// vector). Restore must reject each with a reason before allocating.
+TEST_F(WarmResumeTest, RestoreRejectsCountsBeyondTheBlob) {
+  PaFeat pafeat(&problem_a_, dataset_.SeenTaskIndices(), ResumeConfig());
+  pafeat.Train(3);
+  const std::vector<std::uint8_t> blob = pafeat.SerializeTrainingState();
+  const BlobLayout layout = WalkBlob(blob);
+  ASSERT_GT(layout.transition_count, 0u) << "no stored transition";
+  ASSERT_GT(layout.etree_node_count, 0u) << "no E-Tree section";
+  // The walk lands on the counts it names, so each patch below hits a count.
+  const auto count_at = [&](std::size_t offset) {
+    std::uint32_t count = 0;
+    std::memcpy(&count, blob.data() + offset, sizeof(count));
+    return count;
+  };
+  ASSERT_EQ(count_at(layout.recent_return_count),
+            pafeat.feat().task_runtime(0).recent_returns.size());
+  ASSERT_EQ(count_at(layout.etree_node_count),
+            pafeat.explorer()->tree(0).ExportNodes().size());
+  std::string error;
+  ASSERT_TRUE(RestoreIntoFreshInstance(blob, &error)) << error;
+
+  for (const std::size_t offset : {layout.recent_return_count,
+                                   layout.transition_count,
+                                   layout.etree_node_count}) {
+    for (const std::uint32_t count : {0x7fffffffu, 0xffffffffu}) {
+      std::vector<std::uint8_t> bytes = blob;
+      std::memcpy(bytes.data() + offset, &count, sizeof(count));
+      error.clear();
+      EXPECT_FALSE(RestoreIntoFreshInstance(bytes, &error))
+          << "offset " << offset;
+      EXPECT_FALSE(error.empty()) << "offset " << offset;
+    }
+  }
 }
 
 }  // namespace
