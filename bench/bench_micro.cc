@@ -337,9 +337,10 @@ void BM_AgentAct(benchmark::State& state) {
   DqnAgent agent(config, &rng);
   std::vector<float> observation(147);
   for (float& v : observation) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  Rng act_rng(42);
+  int action = -1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.Act(observation, &act_rng, /*greedy=*/true));
+    agent.ActBatch(1, observation.data(), &action);
+    benchmark::DoNotOptimize(action);
   }
 }
 BENCHMARK(BM_AgentAct);
@@ -452,11 +453,9 @@ void BM_QuantizeCheckpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeCheckpoint)->Arg(147)->Arg(2043);
 
-// Full Algorithm-1 iterations end to end with the step-synchronous batched
-// collection on vs the legacy blocking path: same work, different execution
-// plan (this also pays environment steps, reward evaluations, and the
-// parameter-updating phase, so the delta here is diluted relative to the
-// pure step-inference pair above).
+// Full Algorithm-1 iterations end to end through the step-synchronous
+// batched collector (this also pays environment steps, reward evaluations,
+// and the parameter-updating phase, not only the step inference above).
 struct IterationFixture {
   IterationFixture() {
     SyntheticSpec spec;
@@ -474,26 +473,16 @@ struct IterationFixture {
   std::unique_ptr<FsProblem> problem;
 };
 
-void RunIterationBench(benchmark::State& state, bool batched) {
+void BM_IterationBatched(benchmark::State& state) {
   IterationFixture fixture;
   FeatConfig config = DefaultFeatOptions(60, 46).feat;
   config.envs_per_iteration = 8;
-  config.batched_inference = batched;
   Feat feat(fixture.problem.get(), fixture.dataset.SeenTaskIndices(), config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(feat.RunIteration().episodes);
   }
 }
-
-void BM_IterationBatched(benchmark::State& state) {
-  RunIterationBench(state, /*batched=*/true);
-}
 BENCHMARK(BM_IterationBatched);
-
-void BM_IterationSingleRow(benchmark::State& state) {
-  RunIterationBench(state, /*batched=*/false);
-}
-BENCHMARK(BM_IterationSingleRow);
 
 // The sharded collector plane's scaling curve (DESIGN.md "Sharded training
 // plane"): collector shards follow num_threads, so /N runs N shards, each

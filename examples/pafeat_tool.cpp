@@ -177,18 +177,13 @@ int RunSelect(const Table& table, const std::string& label,
               "the policy's select-vs-deselect advantage, the audit view):\n",
               MaskCount(mask), table.num_features(), exec_ms,
               selector->quantized() ? " [int8 serving tier]" : "");
-  if (const auto checkpoint = LoadCheckpoint(agent_path);
-      checkpoint.has_value()) {
-    Rng net_rng(0);
-    DuelingNet net(checkpoint->net_config, &net_rng);
-    net.DeserializeParams(checkpoint->parameters);
-    for (const FeatureDecision& decision : RankedDecisions(ExplainSelection(
-             net, repr, checkpoint->max_feature_ratio))) {
-      std::printf("  %c %-20s q-gap %+.4f\n",
-                  mask[decision.feature] ? '*' : ' ',
-                  table.feature_names()[decision.feature].c_str(),
-                  decision.q_gap);
-    }
+  // The audit view reads the selector's fp32 net, in either tier.
+  for (const FeatureDecision& decision : RankedDecisions(ExplainSelection(
+           selector->net(), repr, selector->max_feature_ratio()))) {
+    std::printf("  %c %-20s q-gap %+.4f\n",
+                mask[decision.feature] ? '*' : ' ',
+                table.feature_names()[decision.feature].c_str(),
+                decision.q_gap);
   }
   const DownstreamScore score =
       EvaluateSubsetDownstream(&problem, index, mask, seed + 7);

@@ -55,9 +55,11 @@ build/bench/bench_micro \
 echo "===================================================================="
 echo "== Batched inference plane -> bench/baselines/BENCH_batch.json"
 echo "===================================================================="
-# Step-inference throughput of the batched plane vs the single-row legacy
-# path, plus full iterations with batched collection on/off; the seed's
-# single-row numbers are frozen in bench/baselines/BENCH_batch_seed.json.
+# Step-inference throughput of the batched plane vs batch-of-one queries,
+# plus full iterations through the batched collector; the seed's single-row
+# numbers are frozen in bench/baselines/BENCH_batch_seed.json. The blocking
+# collection path is gone, so BM_IterationSingleRow is no longer produced:
+# the BENCH_batch*.json files keep its recorded legs as history.
 build/bench/bench_micro \
   --benchmark_filter='BM_StepInference|BM_Iteration' \
   --benchmark_min_time=0.2 \

@@ -31,7 +31,8 @@
 #             shards racing on the pool and the shared reward-cache locks
 #             is exactly the traffic TSan should see
 #
-# Prints a summary table and exits nonzero if any step failed. Steps keep
+# Prints a summary table, then the net src/ line change against HEAD~1
+# (scripts/src_delta.sh), and exits nonzero if any step failed. Steps keep
 # running after a failure so one run reports the whole matrix.
 set -u
 cd "$(dirname "$0")/.."
@@ -105,6 +106,8 @@ for i in "${!STEP_NAMES[@]}"; do
   printf '%-22s %-6s %8s\n' "${STEP_NAMES[$i]}" "${STEP_STATUS[$i]}" \
     "${STEP_SECONDS[$i]}"
 done
+# The net src/ line change every change reports (a report, not a gate).
+scripts/src_delta.sh || true
 if [ "$FAILED" -ne 0 ]; then
   echo "ci: FAILED"
 else

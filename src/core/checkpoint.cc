@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -11,6 +12,7 @@
 #include "common/logging.h"
 #include "memory/persistence.h"
 #include "rl/fs_env.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 namespace {
@@ -239,7 +241,8 @@ bool RestoreTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
   return pafeat->RestoreTrainingState(checkpoint.training_state, error);
 }
 
-std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint) {
+std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint,
+                                       bool quantized) {
   const DuelingNetConfig& net = checkpoint.net_config;
   if (checkpoint.weight_format != kWeightFormatFp32) {
     return "unsupported weight format " +
@@ -273,6 +276,18 @@ std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint) {
            " does not fit the architecture (expected " +
            std::to_string(expected) + ")";
   }
+  if (quantized) {
+    // The int8 kernels accumulate a layer's products in int32, which bounds
+    // the input width of every layer: the observation and each trunk width
+    // (the heads and an extra rescale layer read the last one).
+    int widest = net.input_dim;
+    for (int h : net.trunk_hidden) widest = std::max(widest, h);
+    if (widest > kernels::kGemmInt8MaxDepth) {
+      return "int8 tier: layer input width " + std::to_string(widest) +
+             " exceeds the int8 kernel depth limit " +
+             std::to_string(kernels::kGemmInt8MaxDepth);
+    }
+  }
   return "";
 }
 
@@ -282,19 +297,34 @@ QuantizedDuelingNet QuantizeCheckpoint(const AgentCheckpoint& checkpoint) {
   return QuantizedDuelingNet(checkpoint.net_config, checkpoint.parameters);
 }
 
+std::optional<ServingNets> BuildServingNets(const AgentCheckpoint& checkpoint,
+                                            bool quantized,
+                                            std::string* error) {
+  const std::string inconsistency =
+      CheckpointConsistencyError(checkpoint, quantized);
+  if (!inconsistency.empty()) {
+    if (error != nullptr) *error = inconsistency;
+    return std::nullopt;
+  }
+  ServingNets nets;
+  nets.net = std::make_unique<DuelingNet>(checkpoint.net_config, nullptr);
+  PF_CHECK(nets.net->DeserializeParams(checkpoint.parameters));
+  if (quantized) {
+    nets.quantized =
+        std::make_unique<QuantizedDuelingNet>(QuantizeCheckpoint(checkpoint));
+  }
+  return nets;
+}
+
 CheckpointedSelector::CheckpointedSelector(const AgentCheckpoint& checkpoint,
                                            const ServeConfig& serve)
     : max_feature_ratio_(checkpoint.max_feature_ratio) {
-  const std::string inconsistency = CheckpointConsistencyError(checkpoint);
-  PF_CHECK(inconsistency.empty())
-      << "internally inconsistent checkpoint: " << inconsistency;
-  Rng rng(0);
-  net_ = std::make_unique<DuelingNet>(checkpoint.net_config, &rng);
-  PF_CHECK(net_->DeserializeParams(checkpoint.parameters));
-  if (serve.quantized) {
-    quantized_net_ =
-        std::make_unique<QuantizedDuelingNet>(QuantizeCheckpoint(checkpoint));
-  }
+  std::string error;
+  std::optional<ServingNets> nets =
+      BuildServingNets(checkpoint, serve.quantized, &error);
+  PF_CHECK(nets.has_value()) << "internally inconsistent checkpoint: "
+                             << error;
+  nets_ = std::move(*nets);
 }
 
 std::optional<CheckpointedSelector> CheckpointedSelector::FromFile(
@@ -302,25 +332,28 @@ std::optional<CheckpointedSelector> CheckpointedSelector::FromFile(
   const std::optional<AgentCheckpoint> checkpoint =
       LoadCheckpoint(path, error);
   if (!checkpoint.has_value()) return std::nullopt;
-  return CheckpointedSelector(*checkpoint, serve);
+  std::optional<ServingNets> nets =
+      BuildServingNets(*checkpoint, serve.quantized, error);
+  if (!nets.has_value()) return std::nullopt;
+  return CheckpointedSelector(std::move(*nets), checkpoint->max_feature_ratio);
 }
 
 FeatureMask CheckpointedSelector::SelectForRepresentation(
     const std::vector<float>& representation) const {
-  if (quantized_net_ != nullptr) {
-    return GreedySelectSubset(*quantized_net_, representation,
+  if (nets_.quantized != nullptr) {
+    return GreedySelectSubset(*nets_.quantized, representation,
                               max_feature_ratio_);
   }
-  return GreedySelectSubset(*net_, representation, max_feature_ratio_);
+  return GreedySelectSubset(*nets_.net, representation, max_feature_ratio_);
 }
 
 std::vector<FeatureMask> CheckpointedSelector::SelectForRepresentations(
     const std::vector<std::vector<float>>& representations) const {
-  if (quantized_net_ != nullptr) {
-    return GreedySelectSubsets(*quantized_net_, representations,
+  if (nets_.quantized != nullptr) {
+    return GreedySelectSubsets(*nets_.quantized, representations,
                                max_feature_ratio_);
   }
-  return GreedySelectSubsets(*net_, representations, max_feature_ratio_);
+  return GreedySelectSubsets(*nets_.net, representations, max_feature_ratio_);
 }
 
 }  // namespace pafeat

@@ -2,8 +2,10 @@
 #define PAFEAT_CORE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/feat.h"
@@ -87,17 +89,38 @@ bool RestoreTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
                                PaFeat* pafeat, std::string* error);
 
 // Serving-side validation of an in-memory checkpoint: returns "" exactly
-// when the PF_CHECK constructors below would accept it, else the reason.
-// Never dies — this is the check a long-lived server runs before swapping
-// in a published checkpoint (a misuse that must surface as a rejected
-// publish, not a dead serving process).
-std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint);
+// when BuildServingNets (and so the PF_CHECK constructors below) would
+// accept it for the fp32 tier, or with `quantized` for the int8 tier too,
+// else the reason. Never dies — this is the check a long-lived server runs
+// before swapping in a published checkpoint (a misuse that must surface as
+// a rejected publish, not a dead serving process).
+std::string CheckpointConsistencyError(const AgentCheckpoint& checkpoint,
+                                       bool quantized = false);
 
 // One-shot post-training quantization pass (DESIGN.md "Quantized serving
 // tier"): per-output-row symmetric int8 weights from the checkpoint's fp32
-// parameters. Dies (PF_CHECK) on a non-fp32 weight format or a parameter
-// vector that does not fit the architecture.
+// parameters. Dies (PF_CHECK) on a non-fp32 weight format, a parameter
+// vector that does not fit the architecture, or a layer wider than the int8
+// kernels reduce; CheckpointConsistencyError(checkpoint, true) screens all
+// three.
 QuantizedDuelingNet QuantizeCheckpoint(const AgentCheckpoint& checkpoint);
+
+// The networks one checkpoint serves from: the fp32 net and, for the int8
+// tier, its quantized twin.
+struct ServingNets {
+  std::unique_ptr<DuelingNet> net;
+  std::unique_ptr<QuantizedDuelingNet> quantized;  // set for the int8 tier
+};
+
+// The one build of serving networks from a checkpoint (CheckpointedSelector
+// and SelectionServer both use it): screens it with
+// CheckpointConsistencyError, builds the fp32 net straight from the
+// parameters (no random initialisation to overwrite) and, with `quantized`,
+// the int8 tier. Returns nullopt with the reason in `error` (when non-null)
+// on a checkpoint the screen rejects.
+std::optional<ServingNets> BuildServingNets(const AgentCheckpoint& checkpoint,
+                                            bool quantized,
+                                            std::string* error = nullptr);
 
 // Serving-side selector restored from a checkpoint: no problem, classifiers
 // or replay state — just the network and the greedy execution path. With
@@ -110,8 +133,8 @@ class CheckpointedSelector {
   explicit CheckpointedSelector(const AgentCheckpoint& checkpoint,
                                 const ServeConfig& serve = {});
 
-  // Surfaces I/O and corruption as nullopt; `error` (when non-null)
-  // receives the LoadCheckpoint failure reason.
+  // Surfaces I/O, corruption and a network the requested tier cannot serve
+  // as nullopt; `error` (when non-null) receives the reason.
   static std::optional<CheckpointedSelector> FromFile(
       const std::string& path, const ServeConfig& serve = {},
       std::string* error = nullptr);
@@ -126,13 +149,17 @@ class CheckpointedSelector {
   std::vector<FeatureMask> SelectForRepresentations(
       const std::vector<std::vector<float>>& representations) const;
 
-  int num_features() const { return (net_->config().input_dim - 3) / 2; }
+  int num_features() const { return (nets_.net->config().input_dim - 3) / 2; }
   double max_feature_ratio() const { return max_feature_ratio_; }
-  bool quantized() const { return quantized_net_ != nullptr; }
+  bool quantized() const { return nets_.quantized != nullptr; }
+  // The fp32 network, in either tier: the audit view (ExplainSelection).
+  const DuelingNet& net() const { return *nets_.net; }
 
  private:
-  std::unique_ptr<DuelingNet> net_;
-  std::unique_ptr<QuantizedDuelingNet> quantized_net_;  // set when serving int8
+  CheckpointedSelector(ServingNets nets, double max_feature_ratio)
+      : nets_(std::move(nets)), max_feature_ratio_(max_feature_ratio) {}
+
+  ServingNets nets_;
   double max_feature_ratio_;
 };
 

@@ -116,54 +116,6 @@ void Feat::SetRewardShaper(std::unique_ptr<RewardShaper> shaper) {
   reward_shaper_ = std::move(shaper);
 }
 
-Trajectory Feat::RunEpisode(const EpisodePlan& plan,
-                            std::vector<int>* full_actions) {
-  // Episodes run on a private environment copy (cheap: a representation
-  // vector plus state) so that concurrent episodes on the same task do not
-  // interfere; the reward cache behind the evaluator is shared and locked.
-  FeatureSelectionEnv env = *tasks_[plan.slot].env;
-  Rng rng = plan.rng;
-
-  bool random_policy = false;
-  full_actions->clear();
-  if (plan.start.has_value()) {
-    env.ResetTo(plan.start->state);
-    if (env.Done()) {
-      env.Reset();  // degenerate customized state; fall back to default
-    } else {
-      *full_actions = plan.start->prefix;
-      random_policy = plan.start->random_policy;
-    }
-  } else {
-    env.Reset();
-  }
-
-  Trajectory trajectory;
-  while (!env.Done()) {
-    const std::vector<float> observation = env.Observation();
-    const int action = random_policy
-                           ? rng.UniformInt(kNumActions)
-                           : agent_->Act(observation, &rng, /*greedy=*/false);
-    Transition transition;
-    transition.state = env.state();
-    transition.action = action;
-    const double raw_reward = env.Step(action);
-    transition.reward = static_cast<float>(
-        reward_shaper_ != nullptr
-            ? reward_shaper_->Shape(raw_reward, plan.slot, plan.shaper_context,
-                                    &rng)
-            : raw_reward);
-    transition.next_state = env.state();
-    transition.done = env.Done();
-    trajectory.transitions.push_back(std::move(transition));
-    full_actions->push_back(action);
-  }
-  // The E-Tree, the ITS and the difficulty diagnostics consume the final
-  // subset's true performance, regardless of reward mode or shaping.
-  trajectory.episode_return = env.current_performance();
-  return trajectory;
-}
-
 void Feat::CollectEpisodesBatched(
     const std::vector<const EpisodePlan*>& plans,
     std::vector<Trajectory>* trajectories,
@@ -172,7 +124,7 @@ void Feat::CollectEpisodesBatched(
   const int obs_dim = tasks_.front().env->observation_dim();
   // Epsilon is constant across the whole buffer-filling phase — gradient
   // steps (which advance the schedule) only happen in the updating phase —
-  // so it is sampled once, exactly like each blocking episode would see it.
+  // so it is sampled once for every episode.
   const float epsilon = agent_->CurrentEpsilon();
 
   std::vector<EpisodeDriver> drivers;
@@ -343,21 +295,7 @@ IterationStats Feat::RunIteration() {
 
   std::vector<Trajectory> trajectories(num_episodes);
   std::vector<std::vector<int>> episode_actions(num_episodes);
-  if (config_.batched_inference) {
-    CollectEpisodesSharded(plans, num_shards, &trajectories,
-                           &episode_actions);
-  } else {
-    // Legacy blocking path, kept as the reference for equivalence tests.
-    // The plans run on the persistent pool instead of spawned threads; the
-    // plan-then-commit structure above/below keeps results bit-identical
-    // regardless of which pool thread runs which episode. ParallelFor
-    // degrades to an inline loop at max_parallelism 1, so the serial case
-    // shares this code instead of a duplicated body.
-    ThreadPool::Global()->ParallelFor(
-        num_episodes, config_.num_threads, [&](int i) {
-          trajectories[i] = RunEpisode(plans[i], &episode_actions[i]);
-        });
-  }
+  CollectEpisodesSharded(plans, num_shards, &trajectories, &episode_actions);
 
   for (int i = 0; i < num_episodes; ++i) {
     Trajectory& trajectory = trajectories[i];

@@ -40,14 +40,6 @@ struct FeatConfig {
   // any batch composition by kernel construction, and results are
   // committed in plan order.
   int num_threads = 1;
-  // Step-synchronous episode collection (DESIGN.md "Batched inference
-  // plane"): all live episodes advance in lock-step and their greedy Q
-  // queries are gathered into one batched forward pass per step instead of
-  // one single-row pass per episode per step. Bit-identical to the legacy
-  // blocking path (kept, off, as the reference for equivalence tests) —
-  // exploration draws happen in plan order on the per-episode streams and
-  // batched Q rows match single-row queries bit-for-bit.
-  bool batched_inference = true;
   // Bounded experience-memory plane (DESIGN.md "Bounded memory plane"):
   // every task buffer B^k gets a byte budget resolved through
   // ResolveReplayBudgetBytes (> 0 bytes, 0 explicit unlimited, < 0 the
@@ -271,8 +263,6 @@ class Feat {
     Rng rng{0};
   };
 
-  Trajectory RunEpisode(const EpisodePlan& plan,
-                        std::vector<int>* full_actions);
   // Step-synchronous execution of the given planned episodes on the calling
   // thread: per step, a serial plan-order planning pass (exploration draws),
   // one batched greedy Q pass over every live driver, then the environment

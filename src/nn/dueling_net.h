@@ -27,6 +27,8 @@ struct DuelingNetConfig {
 // head; gradients of the aggregation are backpropagated analytically.
 class DuelingNet {
  public:
+  // A null `rng` zero-initialises the weights (see Mlp): the serving path
+  // builds from a parameter vector and draws nothing it would overwrite.
   DuelingNet(const DuelingNetConfig& config, Rng* rng);
 
   // Training forward pass: (batch x input_dim) -> (batch x num_actions).

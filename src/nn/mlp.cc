@@ -42,7 +42,9 @@ Mlp::Mlp(const MlpConfig& config, Rng* rng) : config_(config) {
         config.hidden_activation == Activation::kRelu
             ? std::sqrt(2.0f / fan_in)
             : std::sqrt(1.0f / fan_in);
-    layer.weight = Matrix::RandomNormal(fan_out, fan_in, scale, rng);
+    layer.weight = rng != nullptr
+                       ? Matrix::RandomNormal(fan_out, fan_in, scale, rng)
+                       : Matrix::Zeros(fan_out, fan_in);
     layer.bias = Matrix::Zeros(1, fan_out);
     layer.weight_grad = Matrix::Zeros(fan_out, fan_in);
     layer.bias_grad = Matrix::Zeros(1, fan_out);

@@ -26,6 +26,8 @@ struct MlpConfig {
 // Predict() is the cache-free inference path.
 class Mlp {
  public:
+  // Draws the initial weights from `rng`; a null `rng` zero-initialises
+  // them instead, for a net whose parameters are deserialized right after.
   Mlp(const MlpConfig& config, Rng* rng);
 
   // Batch forward pass (batch x input_dim) -> (batch x output_dim), caching

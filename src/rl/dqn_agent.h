@@ -42,29 +42,21 @@ class DqnAgent {
  public:
   DqnAgent(const DqnConfig& config, Rng* rng);
 
-  // Epsilon-greedy action for one observation. `greedy` disables exploration
-  // (the unseen-task execution path). Zero heap allocations in steady state:
-  // the Q-value query runs through the calling thread's InferenceArena.
-  // Implemented as ActBatch on a batch of one — there is no separate
-  // single-row inference path.
-  int Act(const std::vector<float>& observation, Rng* rng, bool greedy) const;
-
   // Greedy actions for a batch of observations (rows x obs_dim, contiguous):
   // one forward pass through the batched inference plane, then a per-row
-  // first-max argmax. Row r's action is bit-identical to
-  // Act(observation r, greedy=true) — the kernels guarantee per-row bits
-  // independent of the batch size. This is the single funnel every Q query
-  // in the codebase reduces to (DESIGN.md "Batched inference plane").
+  // first-max argmax. Row r's action is bit-identical to a batch of one
+  // holding observation r — the kernels guarantee per-row bits independent
+  // of the batch size. Zero heap allocations in steady state: the query
+  // runs through the calling thread's InferenceArena. Exploration is not
+  // the agent's business: EpisodeDriver::PlanStep draws it from the
+  // episode's stream and asks for a greedy row only when exploiting.
   void ActBatch(int rows, const float* observations, int* actions) const;
 
   // Q-values of one observation from the online network.
   std::vector<float> QValues(const std::vector<float>& observation) const;
 
-  // Allocation-free form: writes num_actions Q-values to `q_out`
-  // (QValuesBatchInto on a batch of one).
-  void QValuesInto(const float* observation, float* q_out) const;
-
-  // Batched form: writes (rows x num_actions) Q-values to `q_out`.
+  // Writes (rows x num_actions) Q-values to `q_out` — the allocation-free
+  // form of QValues, and what it runs on a batch of one.
   void QValuesBatchInto(int rows, const float* observations,
                         float* q_out) const;
 

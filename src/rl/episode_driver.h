@@ -11,37 +11,42 @@
 namespace pafeat {
 
 // Resumable episode state machine for the batched inference plane (DESIGN.md
-// "Batched inference plane"). Feat::RunEpisode, the blocking reference path
-// (FeatConfig::batched_inference = false), runs one episode per worker, each
-// step issuing its own single-row Q query. A driver instead holds the
-// episode's environment copy, its forked RNG stream, and its partial
-// trajectory, and is advanced one step at a time by the iteration loop:
+// "Batched inference plane"). A driver holds one episode's environment copy,
+// its forked RNG stream, and its partial trajectory, and is advanced one
+// step at a time by the collector (Feat::CollectEpisodesBatched):
 //
-//   1. PlanStep(epsilon)   serial, in plan order: draws this step's
-//                          exploration decision from the episode stream
-//                          (exactly the Bernoulli/UniformInt sequence
-//                          Feat::RunEpisode draws in-episode) and returns
-//                          true when the step needs a greedy Q query;
+//   1. PlanStep(epsilon)   serial, in plan order: decides where this step's
+//                          action comes from and returns true when it needs
+//                          a greedy Q query;
 //   2. WriteObservation /  the caller gathers all querying drivers'
 //      SetPlannedAction    observations into one batch, runs a single
 //                          DqnAgent::ActBatch, and hands each driver its
 //                          argmax;
-//   3. ApplyAction         parallel-safe: steps the private environment,
-//                          shapes the reward (the only other draw on the
-//                          episode stream, in RunEpisode's order), and records
-//                          the transition.
+//   3. ApplyAction         steps the private environment, shapes the reward,
+//                          and records the transition.
 //
-// Because every random draw happens either in plan order (steps 1) or on the
-// episode's own stream in RunEpisode's in-episode order (shaping in step 3),
-// and because batched Q rows are bit-identical to single-row queries, the
-// trajectory a driver produces is bit-identical to Feat::RunEpisode for the
-// same plan — at any thread count and any batch composition
-// (batched_inference_test compares the two).
+// The draw order on the episode stream is the contract; training results
+// are a function of it. Per step, in this order:
+//   - a random-policy rollout (StartFrom with random_policy) draws one
+//     UniformInt(kNumActions) for the action and nothing else in PlanStep;
+//   - a policy step draws Bernoulli(epsilon); only when that explores does
+//     it draw UniformInt(kNumActions) for the action. Epsilon 0 therefore
+//     always asks for a Q query, and the query itself draws nothing;
+//   - the reward shaper, when set, draws inside ApplyAction, after the
+//     environment step.
+// A StartFrom state that is already terminal falls back to the default
+// start and drops the prefix and the policy flag; starting draws nothing.
+//
+// No draw depends on which other episodes share the step, and batched Q rows
+// are bit-identical at any batch composition, so the trajectory a driver
+// produces is the same at any thread count. tests/episode_driver_test.cc
+// checks the draw order against a replayed copy of the stream, and
+// tests/golden_training_test.cc pins the training bits it produces.
 class EpisodeDriver {
  public:
   // Reward hook applied to the raw environment reward before it is stored;
-  // may draw from the episode stream (same order as RunEpisode's Shape
-  // call). Empty = store the raw reward.
+  // may draw from the episode stream, after the environment step. Empty =
+  // store the raw reward.
   using RewardShapeFn = std::function<double(double raw_reward, Rng* rng)>;
 
   // Copies `env` (cheap: a representation vector plus state) so concurrent
@@ -53,8 +58,7 @@ class EpisodeDriver {
   void StartDefault();
   // Customized initial state with its decision prefix and policy flag (the
   // ITE entry point). A degenerate state that is already terminal falls
-  // back to the default initial state, discarding prefix and flag — the
-  // same fallback Feat::RunEpisode applies.
+  // back to the default initial state, discarding prefix and flag.
   void StartFrom(const EnvState& state, const std::vector<int>& prefix,
                  bool random_policy);
 

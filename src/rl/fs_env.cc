@@ -66,10 +66,6 @@ std::vector<float> FeatureSelectionEnv::ObservationFor(
   return obs;
 }
 
-std::vector<float> FeatureSelectionEnv::Observation() const {
-  return ObservationFor(state_);
-}
-
 double FeatureSelectionEnv::Step(int action) {
   PF_CHECK(!Done());
   PF_CHECK(action == kActionDeselect || action == kActionSelect);

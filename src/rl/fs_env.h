@@ -54,14 +54,13 @@ class FeatureSelectionEnv {
   bool Done() const;
   const EnvState& state() const { return state_; }
 
-  // Dense observation of the current state.
-  std::vector<float> Observation() const;
-  // Dense observation of an arbitrary state of this environment/task.
+  // Dense observation of a state of this environment/task
+  // (ObservationFor(state()) for the current one).
   std::vector<float> ObservationFor(const EnvState& state) const;
   // Allocation-free variants for the steady-state stepping path: write the
   // observation_dim() floats directly into a caller-provided row (usually a
   // slice of the iteration's batch matrix). Bit-identical to the vector
-  // forms — same layout [repr | mask | position | repr[pos] | selected].
+  // form — same layout [repr | mask | position | repr[pos] | selected].
   void ObservationInto(float* out) const;
   void ObservationForInto(const EnvState& state, float* out) const;
 

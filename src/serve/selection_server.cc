@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "nn/workspace.h"
 #include "rl/fs_env.h"
 
@@ -69,19 +68,11 @@ SelectionServer::~SelectionServer() { Shutdown(); }
 
 std::unique_ptr<SelectionServer::NetBundle> SelectionServer::BuildBundle(
     const AgentCheckpoint& checkpoint, std::string* error) const {
-  const std::string inconsistency = CheckpointConsistencyError(checkpoint);
-  if (!inconsistency.empty()) {
-    if (error != nullptr) *error = inconsistency;
-    return nullptr;
-  }
+  std::optional<ServingNets> nets =
+      BuildServingNets(checkpoint, config_.serve.quantized, error);
+  if (!nets.has_value()) return nullptr;
   auto bundle = std::make_unique<NetBundle>();
-  Rng rng(0);
-  bundle->net = std::make_unique<DuelingNet>(checkpoint.net_config, &rng);
-  PF_CHECK(bundle->net->DeserializeParams(checkpoint.parameters));
-  if (config_.serve.quantized) {
-    bundle->qnet =
-        std::make_unique<QuantizedDuelingNet>(QuantizeCheckpoint(checkpoint));
-  }
+  bundle->nets = std::move(*nets);
   bundle->max_feature_ratio = checkpoint.max_feature_ratio;
   bundle->num_features = (checkpoint.net_config.input_dim - 3) / 2;
   return bundle;
@@ -290,10 +281,10 @@ void SelectionServer::ServeStep(int width) {
   }
   // One forward pass decides this step for every coalesced request.
   InferenceArena* arena = InferenceArena::ThreadLocal();
-  if (current_->qnet != nullptr) {
-    current_->qnet->PredictBatchInto(width, batch, arena, q);
+  if (current_->nets.quantized != nullptr) {
+    current_->nets.quantized->PredictBatchInto(width, batch, arena, q);
   } else {
-    current_->net->PredictBatchInto(width, batch, arena, q);
+    current_->nets.net->PredictBatchInto(width, batch, arena, q);
   }
   finished_count_ = 0;
   for (int r = 0; r < width; ++r) {

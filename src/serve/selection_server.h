@@ -115,9 +115,9 @@ struct ServerStats {
 // requests, finishing live ones) and joins the serving thread.
 class SelectionServer {
  public:
-  // Dies (PF_CHECK) on an internally inconsistent checkpoint, mirroring
-  // CheckpointedSelector. Validate first via CheckpointConsistencyError (or
-  // construct from a LoadCheckpoint result, which already screens).
+  // Dies (PF_CHECK) on a checkpoint BuildServingNets rejects, mirroring
+  // CheckpointedSelector. Validate first via
+  // CheckpointConsistencyError(checkpoint, config.serve.quantized).
   explicit SelectionServer(const AgentCheckpoint& checkpoint,
                            const ServerConfig& config = {});
   ~SelectionServer();
@@ -175,8 +175,7 @@ class SelectionServer {
   // One serving network generation: the fp32 net, its optional int8 tier,
   // and the checkpoint metadata requests fall back to.
   struct NetBundle {
-    std::unique_ptr<DuelingNet> net;
-    std::unique_ptr<QuantizedDuelingNet> qnet;  // set when serve.quantized
+    ServingNets nets;
     double max_feature_ratio = 0.5;
     int num_features = 0;
     std::uint64_t version = 0;
@@ -200,8 +199,8 @@ class SelectionServer {
     std::chrono::steady_clock::time_point done_at;
   };
 
-  // Builds a NetBundle off the serving loop. Returns nullptr and sets
-  // `error` when the checkpoint fails the consistency screen.
+  // Builds a NetBundle off the serving loop (BuildServingNets). Returns
+  // nullptr and sets `error` when the checkpoint fails the screen.
   std::unique_ptr<NetBundle> BuildBundle(const AgentCheckpoint& checkpoint,
                                          std::string* error) const;
 

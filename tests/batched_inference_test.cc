@@ -1,9 +1,9 @@
-// Bitwise equivalence of the batched inference plane against the legacy
-// single-row path, at every layer of the stack (DESIGN.md "Batched inference
-// plane"): the row-wise GEMM core, DuelingNet::PredictBatchInto,
-// DqnAgent::ActBatch, the multi-task greedy scan, and full training
-// iterations with batched episode collection on and off. "Equal" here always
-// means bit-identical floats, not merely close.
+// Bitwise equivalence of batched rows against batches of one, at every layer
+// of the stack (DESIGN.md "Batched inference plane"): the row-wise GEMM core,
+// DuelingNet::PredictBatchInto, DqnAgent::ActBatch, the multi-task greedy
+// scan, and full training iterations at one and eight threads. "Equal" here
+// always means bit-identical floats, not merely close. The training bits
+// themselves are pinned by golden_training_test.cc.
 
 #include <cstring>
 #include <vector>
@@ -124,21 +124,23 @@ TEST(BatchedInferenceTest, ActBatchMatchesGreedyActPerRow) {
       RandomVec(static_cast<size_t>(rows) * 23, &rng);
   std::vector<int> batched(rows);
   agent.ActBatch(rows, observations.data(), batched.data());
+  std::vector<float> batched_q(static_cast<size_t>(rows) * kNumActions);
+  agent.QValuesBatchInto(rows, observations.data(), batched_q.data());
   for (int r = 0; r < rows; ++r) {
-    const std::vector<float> observation(
-        observations.begin() + static_cast<size_t>(r) * 23,
-        observations.begin() + static_cast<size_t>(r + 1) * 23);
-    Rng unused(0);
-    EXPECT_EQ(batched[r], agent.Act(observation, &unused, /*greedy=*/true))
-        << "row " << r;
+    const float* observation =
+        observations.data() + static_cast<size_t>(r) * 23;
+    int single = -1;
+    agent.ActBatch(1, observation, &single);
+    EXPECT_EQ(batched[r], single) << "row " << r;
     // And the Q-values behind the argmax agree bit-for-bit with the batch.
-    std::vector<float> single(kNumActions);
-    agent.QValuesInto(observation.data(), single.data());
-    std::vector<float> from_batch(kNumActions);
-    agent.QValuesBatchInto(1, observation.data(), from_batch.data());
-    EXPECT_EQ(std::memcmp(single.data(), from_batch.data(),
+    std::vector<float> single_q(kNumActions);
+    agent.QValuesBatchInto(1, observation, single_q.data());
+    EXPECT_EQ(std::memcmp(single_q.data(),
+                          batched_q.data() + static_cast<size_t>(r) *
+                                                 kNumActions,
                           sizeof(float) * kNumActions),
-              0);
+              0)
+        << "row " << r;
   }
 }
 
@@ -170,11 +172,10 @@ SyntheticDataset SmallDataset() {
   return GenerateSynthetic(spec);
 }
 
-FeatConfig SmallFeatConfig(bool batched, int threads) {
+FeatConfig SmallFeatConfig(int threads) {
   FeatConfig config = DefaultFeatOptions(50, 23).feat;
   config.envs_per_iteration = 4;
   config.max_feature_ratio = 0.5;
-  config.batched_inference = batched;
   config.num_threads = threads;
   return config;
 }
@@ -232,37 +233,15 @@ class BatchedTrainingTest : public ::testing::Test {
   FsProblem problem_;
 };
 
-// The tentpole guarantee: batched step-synchronous collection produces the
-// same trajectories, buffers, parameters, and selections as the legacy
-// blocking path — the batching is a pure execution-plan change.
-TEST_F(BatchedTrainingTest, BatchedMatchesLegacyBitwise) {
-  Feat batched(&problem_, dataset_.SeenTaskIndices(),
-               SmallFeatConfig(/*batched=*/true, /*threads=*/1));
-  Feat legacy(&problem_, dataset_.SeenTaskIndices(),
-              SmallFeatConfig(/*batched=*/false, /*threads=*/1));
-  ExpectIdenticalTraining(&batched, &legacy, problem_,
-                          dataset_.UnseenTaskIndices());
-}
-
-// And the thread-count half of the contract, through the batched plane: the
-// parallel environment-step phase must not reach results.
+// The thread-count half of the contract, through the batched plane: the
+// collector shards must not reach results. (golden_training_test.cc pins
+// this configuration's bits at one and eight threads.)
 TEST_F(BatchedTrainingTest, BatchedBitIdenticalAcrossThreadCounts) {
   Feat serial(&problem_, dataset_.SeenTaskIndices(),
-              SmallFeatConfig(/*batched=*/true, /*threads=*/1));
+              SmallFeatConfig(/*threads=*/1));
   Feat pooled(&problem_, dataset_.SeenTaskIndices(),
-              SmallFeatConfig(/*batched=*/true, /*threads=*/8));
+              SmallFeatConfig(/*threads=*/8));
   ExpectIdenticalTraining(&serial, &pooled, problem_,
-                          dataset_.UnseenTaskIndices());
-}
-
-// Cross shape: multi-threaded batched vs single-threaded legacy — the two
-// ends of the execution-plan space.
-TEST_F(BatchedTrainingTest, PooledBatchedMatchesSerialLegacy) {
-  Feat batched(&problem_, dataset_.SeenTaskIndices(),
-               SmallFeatConfig(/*batched=*/true, /*threads=*/8));
-  Feat legacy(&problem_, dataset_.SeenTaskIndices(),
-              SmallFeatConfig(/*batched=*/false, /*threads=*/1));
-  ExpectIdenticalTraining(&batched, &legacy, problem_,
                           dataset_.UnseenTaskIndices());
 }
 

@@ -15,7 +15,7 @@
 #       with every @CKPT@ argument replaced by its path.
 #
 # FLAG is what the error message must mention: the flag name (e.g. --mfr),
-# or in checkpoint mode the checkpoint's file name.
+# in checkpoint mode the checkpoint's file name, or a phrase of the reason.
 set -u
 mode=$1
 binary=$2

@@ -237,7 +237,7 @@ TEST(ConcurrencyStressTest, SubsetEvaluatorStampedeStress) {
 // that loop on its own pool worker, so TSan sees the shared agent and reward
 // cache under concurrent shards while the main thread waits at the merge.
 // The 1-vs-8-thread runs must also stay bit-identical through the stress
-// (the full field-by-field equivalence lives in batched_inference_test.cc).
+// (the full field-by-field comparison is BatchedTrainingTest).
 TEST(ConcurrencyStressTest, BatchedCollectionRendezvousStress) {
   SyntheticSpec spec;
   spec.num_instances = 240;
@@ -251,7 +251,6 @@ TEST(ConcurrencyStressTest, BatchedCollectionRendezvousStress) {
   FeatConfig base = DefaultFeatOptions(60, 29).feat;
   base.envs_per_iteration = 8;  // wider batches than the small-test default
   base.max_feature_ratio = 0.5;
-  base.batched_inference = true;
 
   FeatConfig serial_config = base;
   serial_config.num_threads = 1;

@@ -177,13 +177,14 @@ TEST(MaskedInferenceTest, ArenaStopsAllocatingOnceWarm) {
   for (float& v : observation) v = static_cast<float>(rng.Normal());
 
   InferenceArena* arena = InferenceArena::ThreadLocal();
+  int action = -1;
   for (int i = 0; i < 3; ++i) {
-    agent.Act(observation, &rng, /*greedy=*/true);  // warm-up
+    agent.ActBatch(1, observation.data(), &action);  // warm-up
   }
   const long long slabs_before = arena->slab_allocations();
   const std::size_t capacity_before = arena->capacity_floats();
   for (int i = 0; i < 200; ++i) {
-    agent.Act(observation, &rng, /*greedy=*/true);
+    agent.ActBatch(1, observation.data(), &action);
   }
   EXPECT_EQ(arena->slab_allocations(), slabs_before);
   EXPECT_EQ(arena->capacity_floats(), capacity_before);

@@ -87,11 +87,11 @@ TEST_P(EnvEpisodeSweep, ObservationDimensionIsStable) {
   const double mfr = std::get<1>(GetParam());
   FeatureSelectionEnv env(repr_, evaluator_.get(), mfr);
   Rng rng(9);
-  EXPECT_EQ(static_cast<int>(env.Observation().size()),
+  EXPECT_EQ(static_cast<int>(env.ObservationFor(env.state()).size()),
             env.observation_dim());
   while (!env.Done()) {
     env.Step(rng.UniformInt(2));
-    EXPECT_EQ(static_cast<int>(env.Observation().size()),
+    EXPECT_EQ(static_cast<int>(env.ObservationFor(env.state()).size()),
               env.observation_dim());
   }
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,8 @@
 #include "nn/dueling_net.h"
 #include "nn/workspace.h"
 #include "rl/fs_env.h"
+#include "serve/selection_server.h"
+#include "tensor/kernels.h"
 
 namespace pafeat {
 namespace {
@@ -292,6 +295,73 @@ TEST_F(QuantizedServingTest, QuantizeCheckpointMatchesDirectConstruction) {
             GreedySelectSubset(QuantizedDuelingNet(checkpoint.net_config,
                                                    checkpoint.parameters),
                                repr, checkpoint.max_feature_ratio));
+}
+
+// A network the int8 kernels cannot reduce: 2m + 3 = kGemmInt8MaxDepth + 1
+// inputs (m = 66571) over a one-unit trunk, about 133k parameters.
+AgentCheckpoint TooDeepForInt8Checkpoint() {
+  AgentCheckpoint checkpoint;
+  checkpoint.net_config.input_dim = kernels::kGemmInt8MaxDepth + 1;
+  checkpoint.net_config.num_actions = kNumActions;
+  checkpoint.net_config.trunk_hidden = {1};
+  checkpoint.parameters.assign(
+      static_cast<std::size_t>(DuelingNet::ParamCount(checkpoint.net_config)),
+      0.01f);
+  return checkpoint;
+}
+
+TEST(QuantizedTierScreenTest, TooDeepNetworkIsAStatusNotAnAbort) {
+  const AgentCheckpoint checkpoint = TooDeepForInt8Checkpoint();
+  ASSERT_EQ(checkpoint.net_config.input_dim, 133145);
+  // The fp32 tier serves it; only the int8 tier is refused.
+  EXPECT_EQ(CheckpointConsistencyError(checkpoint), "");
+  EXPECT_TRUE(BuildServingNets(checkpoint, /*quantized=*/false).has_value());
+  std::string error;
+  EXPECT_FALSE(BuildServingNets(checkpoint, /*quantized=*/true, &error));
+  EXPECT_NE(error.find("int8 tier"), std::string::npos) << error;
+
+  const std::string path = ::testing::TempDir() + "/pafeat_too_deep_" +
+                           std::to_string(::getpid()) + ".ckpt";
+  ASSERT_TRUE(SaveCheckpoint(checkpoint, path));
+  ServeConfig serve;
+  serve.quantized = true;
+  error.clear();
+  EXPECT_FALSE(CheckpointedSelector::FromFile(path, serve, &error));
+  EXPECT_NE(error.find("int8 tier"), std::string::npos) << error;
+  EXPECT_TRUE(CheckpointedSelector::FromFile(path).has_value());
+  std::remove(path.c_str());
+
+  // A trunk layer as wide is refused the same way (the screen walks every
+  // layer input, not only the observation).
+  AgentCheckpoint wide_trunk;
+  wide_trunk.net_config.input_dim = 5;
+  wide_trunk.net_config.num_actions = kNumActions;
+  wide_trunk.net_config.trunk_hidden = {4, kernels::kGemmInt8MaxDepth + 1};
+  wide_trunk.parameters.resize(
+      static_cast<std::size_t>(DuelingNet::ParamCount(wide_trunk.net_config)));
+  EXPECT_EQ(CheckpointConsistencyError(wide_trunk), "");
+  EXPECT_NE(CheckpointConsistencyError(wide_trunk, /*quantized=*/true), "");
+}
+
+TEST(QuantizedTierScreenTest, QuantizedPublishOfTooDeepNetworkIsRejected) {
+  AgentCheckpoint small;
+  small.net_config.input_dim = 2 * 8 + 3;
+  small.net_config.num_actions = kNumActions;
+  small.net_config.trunk_hidden = {16};
+  Rng rng(61);
+  small.parameters = DuelingNet(small.net_config, &rng).SerializeParams();
+  ServerConfig config;
+  config.serve.quantized = true;
+  SelectionServer server(small, config);
+
+  std::string error;
+  EXPECT_FALSE(server.PublishCheckpoint(TooDeepForInt8Checkpoint(), &error));
+  EXPECT_NE(error.find("int8 tier"), std::string::npos) << error;
+  // The server keeps serving the network it had.
+  EXPECT_EQ(server.net_version(), 1u);
+  EXPECT_EQ(server.num_features(), 8);
+  const std::vector<float> repr(8, 0.5f);
+  EXPECT_EQ(server.Select(repr).status, AdmissionStatus::kOk);
 }
 
 // Walks the fp32 trace and queries the int8 tier on the identical

@@ -166,7 +166,7 @@ TEST_F(FsEnvTest, ObservationLayout) {
   FeatureSelectionEnv env(repr_, evaluator_.get(), 0.5);
   EXPECT_EQ(env.num_features(), 6);
   EXPECT_EQ(env.observation_dim(), 15);  // 2 * 6 + 3
-  const std::vector<float> obs = env.Observation();
+  const std::vector<float> obs = env.ObservationFor(env.state());
   ASSERT_EQ(obs.size(), 15u);
   EXPECT_FLOAT_EQ(obs[1], 0.8f);        // repr
   EXPECT_FLOAT_EQ(obs[6], 0.0f);        // empty mask
@@ -183,7 +183,7 @@ TEST_F(FsEnvTest, StepAdvancesAndSelects) {
   env.Step(kActionDeselect);
   EXPECT_EQ(env.state().position, 2);
   EXPECT_EQ(env.state().mask[1], 0);
-  const std::vector<float> obs = env.Observation();
+  const std::vector<float> obs = env.ObservationFor(env.state());
   EXPECT_FLOAT_EQ(obs[6], 1.0f);                      // mask[0]
   EXPECT_FLOAT_EQ(obs[12], 2.0f / 6.0f);              // position
   EXPECT_FLOAT_EQ(obs[14], 1.0f / 6.0f);              // selected fraction
@@ -293,7 +293,8 @@ TEST(DqnAgentTest, GreedyActionIsArgmaxQ) {
   DqnAgent agent(SmallDqnConfig(4), &rng);
   const std::vector<float> obs = {0.5f, -0.3f, 0.1f, 0.9f};
   const std::vector<float> q = agent.QValues(obs);
-  const int greedy = agent.Act(obs, &rng, /*greedy=*/true);
+  int greedy = -1;
+  agent.ActBatch(1, obs.data(), &greedy);
   EXPECT_EQ(greedy, q[1] > q[0] ? 1 : 0);
 }
 
@@ -317,7 +318,10 @@ TEST(DqnAgentTest, LearnsActionValuesOnBandit) {
   const std::vector<float> q = agent.QValues({1.0f, 0.0f, 0.0f});
   EXPECT_NEAR(q[1], 1.0f, 0.1f);
   EXPECT_NEAR(q[0], 0.0f, 0.1f);
-  EXPECT_EQ(agent.Act({1.0f, 0.0f, 0.0f}, &rng, true), 1);
+  const std::vector<float> obs = {1.0f, 0.0f, 0.0f};
+  int greedy = -1;
+  agent.ActBatch(1, obs.data(), &greedy);
+  EXPECT_EQ(greedy, 1);
 }
 
 TEST(DqnAgentTest, BootstrapsThroughNonTerminalStates) {

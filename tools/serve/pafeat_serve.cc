@@ -167,6 +167,13 @@ int Main(int argc, char** argv) {
     }
     checkpoint = *loaded;
   }
+  // The server dies on a network its tier cannot serve; screen it first.
+  if (const std::string error =
+          CheckpointConsistencyError(checkpoint, quantized);
+      !error.empty()) {
+    std::cerr << "pafeat-serve: cannot serve this network: " << error << "\n";
+    return 1;
+  }
   const int m = (checkpoint.net_config.input_dim - 3) / 2;
 
   std::vector<std::vector<float>> reprs;
