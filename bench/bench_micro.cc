@@ -23,7 +23,7 @@
 #include "nn/workspace.h"
 #include "rl/dqn_agent.h"
 #include "nn/mlp.h"
-#include "nn/optimizer.h"
+#include "nn/tape.h"
 #include "rl/fs_env.h"
 #include "rl/replay_buffer.h"
 #include "tensor/kernels.h"
@@ -133,14 +133,13 @@ void BM_MlpForwardBackward(benchmark::State& state) {
   config.hidden_dims = {64, 64};
   config.output_dim = 2;
   Mlp net(config, &rng);
-  AdamOptimizer adam(1e-3f);
+  Tape tape(&net, 1e-3f);
   const Matrix batch = Matrix::RandomNormal(32, 147, 1.0f, &rng);
-  Matrix grad(32, 2, 0.01f);
+  const std::vector<float> grad(32 * 2, 0.01f);
   for (auto _ : state) {
-    net.Forward(batch);
-    net.ZeroGrad();
-    net.Backward(grad);
-    adam.Step(net.Params(), net.Grads());
+    tape.Forward(32, batch.data());
+    tape.Backward(grad.data());
+    tape.Step();
   }
 }
 BENCHMARK(BM_MlpForwardBackward);

@@ -10,10 +10,7 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  // Resets the origin to now.
-  void Restart() { start_ = Clock::now(); }
-
-  // Seconds elapsed since construction or the last Restart().
+  // Seconds elapsed since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
@@ -23,23 +20,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Accumulates timing statistics over repeated measurements.
-class TimingStats {
- public:
-  void Add(double seconds) {
-    total_ += seconds;
-    ++count_;
-  }
-
-  double total_seconds() const { return total_; }
-  int count() const { return count_; }
-  double MeanSeconds() const { return count_ == 0 ? 0.0 : total_ / count_; }
-
- private:
-  double total_ = 0.0;
-  int count_ = 0;
 };
 
 }  // namespace pafeat

@@ -20,6 +20,7 @@ std::vector<FeatureDecision> ExplainSelection(
   std::vector<float> observation(2 * m + 3, 0.0f);
   std::copy(representation.begin(), representation.end(),
             observation.begin());
+  std::vector<float> q(net.config().num_actions);
   std::vector<FeatureDecision> decisions;
   decisions.reserve(m);
   int selected = 0;
@@ -27,10 +28,13 @@ std::vector<FeatureDecision> ExplainSelection(
     observation[2 * m] = static_cast<float>(position) / m;
     observation[2 * m + 1] = representation[position];
     observation[2 * m + 2] = static_cast<float>(selected) / m;
-    const Matrix q = net.Predict(Matrix::RowVector(observation));
+    // The batched plane the greedy scan uses; on one row it is bit-identical
+    // to PredictInto (GemmNT sends fewer than 8 rows to the row-wise core).
+    net.PredictBatchInto(1, observation.data(), InferenceArena::ThreadLocal(),
+                         q.data());
     FeatureDecision decision;
     decision.feature = position;
-    decision.q_gap = q.At(0, kActionSelect) - q.At(0, kActionDeselect);
+    decision.q_gap = q[kActionSelect] - q[kActionDeselect];
     decision.selected =
         decision.q_gap > 0.0f && selected < max_selectable;
     if (decision.selected) {

@@ -7,7 +7,7 @@
 
 #include "common/logging.h"
 #include "ml/metrics.h"
-#include "nn/optimizer.h"
+#include "nn/tape.h"
 
 namespace pafeat {
 
@@ -53,7 +53,9 @@ void MaskedDnnClassifier::Fit(const Matrix& features,
   all_cols_.resize(m);
   std::iota(all_cols_.begin(), all_cols_.end(), 0);
 
-  AdamOptimizer optimizer(config_.learning_rate);
+  // The training state lives only as long as Fit: the fitted net keeps its
+  // weights and nothing else.
+  Tape tape(net_.get(), config_.learning_rate);
   std::vector<int> order = rows;
   const int batch_size = std::max(1, config_.batch_size);
 
@@ -82,21 +84,22 @@ void MaskedDnnClassifier::Fit(const Matrix& features,
       }
 
       const Matrix batch = BuildMaskedBatch(features, batch_rows, mask);
-      const Matrix& probs = net_->Forward(batch);
+      const int batch_count = batch.rows();
+      const float* probs = tape.Forward(batch_count, batch.data());
 
       // Binary cross-entropy gradient wrt the sigmoid output:
       // dL/dp = (p - y) / (p (1 - p)) / B; combined with the sigmoid
       // derivative in Backward this yields the standard (p - y) / B.
-      Matrix grad(probs.rows(), 1);
-      const float inv_batch = 1.0f / probs.rows();
-      for (int i = 0; i < probs.rows(); ++i) {
-        const float p = std::clamp(probs.At(i, 0), 1e-6f, 1.0f - 1e-6f);
+      std::vector<float> grad(batch_count);
+      const float inv_batch = 1.0f / batch_count;
+      for (int i = 0; i < batch_count; ++i) {
+        const float p = std::clamp(probs[i], 1e-6f, 1.0f - 1e-6f);
         const float y = labels[batch_rows[i]];
-        grad.At(i, 0) = inv_batch * (p - y) / (p * (1.0f - p));
+        grad[i] = inv_batch * (p - y) / (p * (1.0f - p));
       }
-      net_->ZeroGrad();
-      net_->Backward(grad);
-      optimizer.Step(net_->Params(), net_->Grads());
+      // No input gradient: nothing upstream of the features trains.
+      tape.Backward(grad.data());
+      tape.Step();
     }
   }
   // The net is frozen from here on; prepare the gather kernel's operand once

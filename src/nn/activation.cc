@@ -2,13 +2,7 @@
 
 #include <cmath>
 
-#include "common/logging.h"
-
 namespace pafeat {
-
-void ApplyActivation(Activation act, Matrix* values) {
-  ApplyActivation(act, values->data(), values->size());
-}
 
 void ApplyActivation(Activation act, float* data, int n) {
   switch (act) {
@@ -28,12 +22,7 @@ void ApplyActivation(Activation act, float* data, int n) {
   }
 }
 
-void ApplyActivationGrad(Activation act, const Matrix& activated,
-                         Matrix* grad) {
-  PF_CHECK(grad->SameShape(activated));
-  float* g = grad->data();
-  const float* a = activated.data();
-  const int n = grad->size();
+void ApplyActivationGrad(Activation act, const float* a, float* g, int n) {
   switch (act) {
     case Activation::kLinear:
       return;

@@ -1,23 +1,18 @@
 #ifndef PAFEAT_NN_ACTIVATION_H_
 #define PAFEAT_NN_ACTIVATION_H_
 
-#include "tensor/matrix.h"
-
 namespace pafeat {
 
 enum class Activation { kLinear, kRelu, kTanh, kSigmoid };
 
-// Applies the activation elementwise in place.
-void ApplyActivation(Activation act, Matrix* values);
-
-// Raw-buffer form for the allocation-free inference paths; identical math.
+// Applies the activation elementwise, in place, to n values.
 void ApplyActivation(Activation act, float* data, int n);
 
-// Multiplies `grad` in place by the activation derivative, where `activated`
-// holds the post-activation values (all supported activations admit a
-// derivative expressed in the output).
-void ApplyActivationGrad(Activation act, const Matrix& activated,
-                         Matrix* grad);
+// Multiplies `grad` (n values) in place by the activation derivative, where
+// `activated` holds the post-activation values (all supported activations
+// admit a derivative expressed in the output).
+void ApplyActivationGrad(Activation act, const float* activated, float* grad,
+                         int n);
 
 }  // namespace pafeat
 

@@ -56,26 +56,16 @@ DuelingNet::DuelingNet(const DuelingNetConfig& config, Rng* rng)
   PF_CHECK_GT(config.num_actions, 1);
 }
 
-Matrix DuelingNet::Aggregate(const Matrix& value, const Matrix& advantage) {
-  Matrix q = advantage;
-  const int num_actions = advantage.cols();
-  for (int r = 0; r < q.rows(); ++r) {
+void DuelingNet::Aggregate(int rows, int num_actions, const float* value,
+                           float* q) {
+  for (int r = 0; r < rows; ++r) {
+    float* q_row = q + static_cast<std::size_t>(r) * num_actions;
     float mean_adv = 0.0f;
-    const float* adv_row = advantage.Row(r);
-    for (int a = 0; a < num_actions; ++a) mean_adv += adv_row[a];
+    for (int a = 0; a < num_actions; ++a) mean_adv += q_row[a];
     mean_adv /= num_actions;
-    float* q_row = q.Row(r);
-    const float v = value.At(r, 0);
+    const float v = value[r];
     for (int a = 0; a < num_actions; ++a) q_row[a] += v - mean_adv;
   }
-  return q;
-}
-
-Matrix DuelingNet::Forward(const Matrix& states) {
-  const Matrix& features = trunk_.Forward(states);
-  const Matrix& value = value_head_.Forward(features);
-  const Matrix& advantage = advantage_head_.Forward(features);
-  return Aggregate(value, advantage);
 }
 
 Matrix DuelingNet::Predict(const Matrix& states) const {
@@ -111,60 +101,10 @@ void DuelingNet::PredictImpl(int rows, const float* states,
   } else {
     trunk_.PredictInto(rows, states, arena, features);
     value_head_.PredictInto(rows, features, arena, value);
-    // Advantages land straight in q_out; the aggregation then runs in place
-    // with the exact loop (and rounding order) of Aggregate.
     advantage_head_.PredictInto(rows, features, arena, q_out);
   }
-  // The per-row aggregation below only ever reads within its own row, so it
-  // preserves the row-bit-stability the batched kernels guarantee.
-  for (int r = 0; r < rows; ++r) {
-    float* q_row = q_out + static_cast<std::size_t>(r) * num_actions;
-    float mean_adv = 0.0f;
-    for (int a = 0; a < num_actions; ++a) mean_adv += q_row[a];
-    mean_adv /= num_actions;
-    const float v = value[r];
-    for (int a = 0; a < num_actions; ++a) q_row[a] += v - mean_adv;
-  }
-}
-
-void DuelingNet::Backward(const Matrix& grad_q) {
-  const int num_actions = config_.num_actions;
-  PF_CHECK_EQ(grad_q.cols(), num_actions);
-  // dL/dV_r = sum_a dQ_ra ; dL/dA_ra = dQ_ra - mean_a'(dQ_ra').
-  Matrix grad_value(grad_q.rows(), 1);
-  Matrix grad_advantage = grad_q;
-  for (int r = 0; r < grad_q.rows(); ++r) {
-    const float* gq = grad_q.Row(r);
-    float total = 0.0f;
-    for (int a = 0; a < num_actions; ++a) total += gq[a];
-    grad_value.At(r, 0) = total;
-    const float mean = total / num_actions;
-    float* ga = grad_advantage.Row(r);
-    for (int a = 0; a < num_actions; ++a) ga[a] -= mean;
-  }
-  Matrix grad_features = value_head_.Backward(grad_value);
-  grad_features.Add(advantage_head_.Backward(grad_advantage));
-  trunk_.Backward(grad_features);
-}
-
-void DuelingNet::ZeroGrad() {
-  trunk_.ZeroGrad();
-  value_head_.ZeroGrad();
-  advantage_head_.ZeroGrad();
-}
-
-std::vector<Matrix*> DuelingNet::Params() {
-  std::vector<Matrix*> params = trunk_.Params();
-  for (Matrix* p : value_head_.Params()) params.push_back(p);
-  for (Matrix* p : advantage_head_.Params()) params.push_back(p);
-  return params;
-}
-
-std::vector<Matrix*> DuelingNet::Grads() {
-  std::vector<Matrix*> grads = trunk_.Grads();
-  for (Matrix* g : value_head_.Grads()) grads.push_back(g);
-  for (Matrix* g : advantage_head_.Grads()) grads.push_back(g);
-  return grads;
+  // Advantages landed straight in q_out; aggregate them in place.
+  Aggregate(rows, num_actions, value, q_out);
 }
 
 void DuelingNet::CopyParamsFrom(const DuelingNet& other) {

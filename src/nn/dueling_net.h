@@ -24,17 +24,15 @@ struct DuelingNetConfig {
 // Dueling Q-network (Wang et al., 2016; paper Eqns 1c / 3a-3c):
 //   Q(s, a) = V(s) + A(s, a) - mean_a' A(s, a').
 // A shared MLP trunk feeds a scalar value head and a per-action advantage
-// head; gradients of the aggregation are backpropagated analytically.
+// head. Like Mlp, the net is weights plus inference; a Tape (nn/tape.h)
+// trains it, backpropagating the aggregation analytically.
 class DuelingNet {
  public:
   // A null `rng` zero-initialises the weights (see Mlp): the serving path
   // builds from a parameter vector and draws nothing it would overwrite.
   DuelingNet(const DuelingNetConfig& config, Rng* rng);
 
-  // Training forward pass: (batch x input_dim) -> (batch x num_actions).
-  Matrix Forward(const Matrix& states);
-
-  // Inference-only Q-values.
+  // Q-values: (batch x input_dim) -> (batch x num_actions).
   Matrix Predict(const Matrix& states) const;
 
   // Allocation-free inference: writes the (rows x num_actions) Q-values to
@@ -51,14 +49,9 @@ class DuelingNet {
   void PredictBatchInto(int rows, const float* states, InferenceArena* arena,
                         float* q_out) const;
 
-  // Backpropagates dL/dQ through the cached Forward.
-  void Backward(const Matrix& grad_q);
-
-  void ZeroGrad();
-  std::vector<Matrix*> Params();
-  std::vector<Matrix*> Grads();
   void CopyParamsFrom(const DuelingNet& other);
 
+  // Flat parameters: trunk, value head, advantage head, each in Mlp order.
   std::vector<float> SerializeParams() const;
   bool DeserializeParams(const std::vector<float>& flat);
 
@@ -71,8 +64,13 @@ class DuelingNet {
   static std::int64_t ParamCount(const DuelingNetConfig& config);
 
  private:
-  // Splits V (batch x 1) and A (batch x num_actions) into Q.
-  static Matrix Aggregate(const Matrix& value, const Matrix& advantage);
+  friend class Tape;
+
+  // Q = V + A - mean_a A, row by row and in place: `q` (rows x num_actions)
+  // holds the advantages on entry, `value` holds V (rows). Each row reads
+  // only itself, which keeps the batched plane's row-bit-stability.
+  static void Aggregate(int rows, int num_actions, const float* value,
+                        float* q);
 
   // Shared body of PredictInto / PredictBatchInto; `batched` routes the
   // trunk and heads through the row-bit-stable batched kernels.

@@ -10,8 +10,7 @@
 namespace pafeat {
 namespace {
 
-// out[r] += bias for every row of a rows x cols buffer — the raw-buffer twin
-// of Matrix::AddRowBroadcast (same loop, same rounding).
+// out[r] += bias for every row of a rows x cols buffer.
 void AddBiasRows(int rows, int cols, const float* bias, float* out) {
   for (int r = 0; r < rows; ++r) {
     float* row = out + static_cast<std::size_t>(r) * cols;
@@ -46,25 +45,10 @@ Mlp::Mlp(const MlpConfig& config, Rng* rng) : config_(config) {
                        ? Matrix::RandomNormal(fan_out, fan_in, scale, rng)
                        : Matrix::Zeros(fan_out, fan_in);
     layer.bias = Matrix::Zeros(1, fan_out);
-    layer.weight_grad = Matrix::Zeros(fan_out, fan_in);
-    layer.bias_grad = Matrix::Zeros(1, fan_out);
     layer.activation = (i + 2 == dims.size()) ? config.output_activation
                                               : config.hidden_activation;
     layers_.push_back(std::move(layer));
   }
-}
-
-const Matrix& Mlp::Forward(const Matrix& input) {
-  PF_CHECK_EQ(input.cols(), config_.input_dim);
-  const Matrix* current = &input;
-  for (Layer& layer : layers_) {
-    layer.input = *current;
-    layer.output = layer.input.MatMulTransposed(layer.weight);
-    layer.output.AddRowBroadcast(layer.bias);
-    ApplyActivation(layer.activation, &layer.output);
-    current = &layer.output;
-  }
-  return layers_.back().output;
 }
 
 Matrix Mlp::Predict(const Matrix& input) const {
@@ -82,17 +66,18 @@ void Mlp::PredictInto(int rows, const float* input, InferenceArena* arena,
 
 void Mlp::PredictTailInto(int first_layer, int rows, const float* input,
                           InferenceArena* arena, float* out) const {
-  PredictTailImpl(first_layer, rows, input, arena, out, /*rowwise=*/false);
+  RunLayers(first_layer, rows, input, arena, /*kept=*/nullptr, out,
+            /*rowwise=*/false);
 }
 
 void Mlp::PredictBatchInto(int rows, const float* input, InferenceArena* arena,
                            float* out) const {
-  PredictTailImpl(0, rows, input, arena, out, /*rowwise=*/true);
+  RunLayers(0, rows, input, arena, /*kept=*/nullptr, out, /*rowwise=*/true);
 }
 
-void Mlp::PredictTailImpl(int first_layer, int rows, const float* input,
-                          InferenceArena* arena, float* out,
-                          bool rowwise) const {
+void Mlp::RunLayers(int first_layer, int rows, const float* input,
+                    InferenceArena* arena, float* const* kept, float* out,
+                    bool rowwise) const {
   PF_CHECK_GE(first_layer, 0);
   PF_CHECK_LT(first_layer, num_layers());
   PF_CHECK_GT(rows, 0);
@@ -103,7 +88,12 @@ void Mlp::PredictTailImpl(int first_layer, int rows, const float* input,
     const int in_dim = layer.weight.cols();
     const int out_dim = layer.weight.rows();
     const std::size_t count = static_cast<std::size_t>(rows) * out_dim;
-    float* next = i + 1 == num_layers() ? out : arena->Alloc(count);
+    float* next = out;
+    if (kept != nullptr) {
+      next = kept[i];
+    } else if (i + 1 < num_layers()) {
+      next = arena->Alloc(count);
+    }
     std::fill_n(next, count, 0.0f);
     if (rowwise) {
       // Batched inference plane: per-row bits independent of `rows`, so
@@ -111,9 +101,8 @@ void Mlp::PredictTailImpl(int first_layer, int rows, const float* input,
       kernels::GemmNTRowwise(rows, out_dim, in_dim, current, in_dim,
                              layer.weight.data(), in_dim, next, out_dim);
     } else {
-      // Same GemmNT call Matrix::MatMulTransposed makes for this shape, so
-      // the allocation-free path stays bit-identical to the Matrix-based
-      // one.
+      // Training's strategy (transpose+NN at rows >= 8), which the Tape's
+      // forward pass shares through this loop.
       kernels::GemmNT(rows, out_dim, in_dim, current, in_dim,
                       layer.weight.data(), in_dim, next, out_dim);
     }
@@ -157,53 +146,6 @@ void Mlp::PredictGatheredReference(int rows, const float* x, int ldx,
 
 Matrix Mlp::FirstLayerWeightTransposed() const {
   return layers_.front().weight.Transposed();
-}
-
-Matrix Mlp::Backward(const Matrix& grad_output) {
-  PF_CHECK(!layers_.empty());
-  PF_CHECK(grad_output.SameShape(layers_.back().output));
-  Matrix grad = grad_output;
-  for (int i = static_cast<int>(layers_.size()) - 1; i >= 0; --i) {
-    Layer& layer = layers_[i];
-    ApplyActivationGrad(layer.activation, layer.output, &grad);
-    // dW += grad^T * input ; db += column sums of grad.
-    Matrix weight_grad = grad.TransposedMatMul(layer.input);
-    layer.weight_grad.Add(weight_grad);
-    layer.bias_grad.Add(grad.ColSums());
-    if (i > 0) {
-      grad = grad.MatMul(layer.weight);
-    } else {
-      return grad.MatMul(layer.weight);
-    }
-  }
-  return Matrix();
-}
-
-void Mlp::ZeroGrad() {
-  for (Layer& layer : layers_) {
-    layer.weight_grad.Fill(0.0f);
-    layer.bias_grad.Fill(0.0f);
-  }
-}
-
-std::vector<Matrix*> Mlp::Params() {
-  std::vector<Matrix*> params;
-  params.reserve(layers_.size() * 2);
-  for (Layer& layer : layers_) {
-    params.push_back(&layer.weight);
-    params.push_back(&layer.bias);
-  }
-  return params;
-}
-
-std::vector<Matrix*> Mlp::Grads() {
-  std::vector<Matrix*> grads;
-  grads.reserve(layers_.size() * 2);
-  for (Layer& layer : layers_) {
-    grads.push_back(&layer.weight_grad);
-    grads.push_back(&layer.bias_grad);
-  }
-  return grads;
 }
 
 void Mlp::CopyParamsFrom(const Mlp& other) {

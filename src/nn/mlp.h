@@ -18,23 +18,21 @@ struct MlpConfig {
   Activation output_activation = Activation::kLinear;
 };
 
-// Fully-connected network with manual backpropagation — the project's
+// Fully-connected network: weights plus inference — the project's
 // replacement for the PyTorch modules the paper uses (both the Q-networks
-// and the reward classifier are MLPs).
-//
-// Forward() caches per-layer activations for a subsequent Backward();
-// Predict() is the cache-free inference path.
+// and the reward classifier are MLPs). An Mlp holds no gradients and caches
+// no activations, so nets that only run forward (the DQN target net, a
+// fitted classifier, serving bundles) carry their weights and nothing else.
+// Training goes through a Tape (nn/tape.h) bound to the net, which owns the
+// activations, the gradients and the Adam moments, and runs its forward pass
+// through the same layer loop as every Predict* method here.
 class Mlp {
  public:
   // Draws the initial weights from `rng`; a null `rng` zero-initialises
   // them instead, for a net whose parameters are deserialized right after.
   Mlp(const MlpConfig& config, Rng* rng);
 
-  // Batch forward pass (batch x input_dim) -> (batch x output_dim), caching
-  // intermediate activations for Backward.
-  const Matrix& Forward(const Matrix& input);
-
-  // Inference-only forward pass; does not disturb the training cache.
+  // Batch forward pass (batch x input_dim) -> (batch x output_dim).
   Matrix Predict(const Matrix& input) const;
 
   // Allocation-free inference: writes the (rows x output_dim) result to
@@ -90,21 +88,12 @@ class Mlp {
   int layer_input_dim(int i) const { return layers_[i].weight.cols(); }
   int layer_output_dim(int i) const { return layers_[i].weight.rows(); }
 
-  // Backpropagates dL/d(output) through the cached forward pass, accumulating
-  // parameter gradients, and returns dL/d(input).
-  Matrix Backward(const Matrix& grad_output);
-
-  void ZeroGrad();
-
-  // Mutable views over all parameters / gradients, in a stable order, for
-  // the optimizers and for target-network synchronization.
-  std::vector<Matrix*> Params();
-  std::vector<Matrix*> Grads();
-
   // Copies parameters from a same-architecture network.
   void CopyParamsFrom(const Mlp& other);
 
-  // Flat (de)serialization; Deserialize returns false on a size mismatch.
+  // Flat (de)serialization, layer by layer, weight then bias — the parameter
+  // order the Tape's gradients and Adam moments also use. Deserialize returns
+  // false on a size mismatch.
   std::vector<float> SerializeParams() const;
   bool DeserializeParams(const std::vector<float>& flat);
 
@@ -112,20 +101,23 @@ class Mlp {
   const MlpConfig& config() const { return config_; }
 
  private:
-  // Shared body of PredictTailInto / PredictBatchInto; `rowwise` selects the
-  // batch-size-independent GemmNTRowwise kernel for every layer.
-  void PredictTailImpl(int first_layer, int rows, const float* input,
-                       InferenceArena* arena, float* out, bool rowwise) const;
+  friend class Tape;
+
+  // The one fp32 layer loop behind PredictTailInto, PredictBatchInto and the
+  // Tape's forward pass: runs layers [first_layer, num_layers()) on `input`.
+  // Layer i writes its post-activation output to kept[i] when `kept` is
+  // non-null (the Tape keeps every activation for Backward; `out` is then
+  // unused), otherwise to arena scratch, and the last layer to `out`.
+  // `rowwise` selects the batch-size-independent GemmNTRowwise kernel for
+  // every layer.
+  void RunLayers(int first_layer, int rows, const float* input,
+                 InferenceArena* arena, float* const* kept, float* out,
+                 bool rowwise) const;
 
   struct Layer {
     Matrix weight;  // out x in
     Matrix bias;    // 1 x out
-    Matrix weight_grad;
-    Matrix bias_grad;
     Activation activation;
-    // Training cache.
-    Matrix input;   // batch x in
-    Matrix output;  // batch x out (post-activation)
   };
 
   MlpConfig config_;

@@ -8,11 +8,12 @@
 
 namespace pafeat {
 
-DqnAgent::DqnAgent(const DqnConfig& config, Rng* rng) : config_(config) {
-  online_ = std::make_unique<DuelingNet>(config.net, rng);
-  target_ = std::make_unique<DuelingNet>(config.net, rng);
+DqnAgent::DqnAgent(const DqnConfig& config, Rng* rng)
+    : config_(config),
+      online_(std::make_unique<DuelingNet>(config.net, rng)),
+      target_(std::make_unique<DuelingNet>(config.net, rng)),
+      tape_(online_.get(), config.learning_rate) {
   target_->CopyParamsFrom(*online_);
-  optimizer_ = std::make_unique<AdamOptimizer>(config.learning_rate);
 }
 
 float DqnAgent::CurrentEpsilon() const {
@@ -49,13 +50,6 @@ void DqnAgent::ActBatch(int rows, const float* observations,
   }
 }
 
-std::vector<float> DqnAgent::QValues(
-    const std::vector<float>& observation) const {
-  std::vector<float> values(config_.net.num_actions);
-  QValuesBatchInto(1, observation.data(), values.data());
-  return values;
-}
-
 void DqnAgent::QValuesBatchInto(int rows, const float* observations,
                                 float* q_out) const {
   online_->PredictBatchInto(rows, observations, InferenceArena::ThreadLocal(),
@@ -84,7 +78,7 @@ DqnAgent::AgentTrainingState DqnAgent::ExportTrainingState() const {
   AgentTrainingState state;
   state.train_steps = train_steps_;
   state.target_params = target_->SerializeParams();
-  optimizer_->ExportState(&state.adam_step, &state.adam_m, &state.adam_v);
+  tape_.ExportAdam(&state.adam_step, &state.adam_m, &state.adam_v);
   state.popart_mean = popart_mean_;
   state.popart_sq = popart_sq_;
   state.popart_init.reserve(popart_init_.size());
@@ -101,8 +95,7 @@ bool DqnAgent::ImportTrainingState(const AgentTrainingState& state) {
     return false;
   }
   if (!target_->DeserializeParams(state.target_params)) return false;
-  if (!optimizer_->ImportState(state.adam_step, state.adam_m, state.adam_v,
-                               online_->Params())) {
+  if (!tape_.ImportAdam(state.adam_step, state.adam_m, state.adam_v)) {
     return false;
   }
   train_steps_ = state.train_steps;
@@ -188,7 +181,7 @@ double DqnAgent::TrainBatch(const std::vector<BatchItem>& batch) {
   }
 
   // Forward + squared-error loss on the taken actions (Eqn 1a).
-  const Matrix q = online_->Forward(observations);
+  const float* q = tape_.Forward(batch_size, observations.data());
   Matrix grad(batch_size, num_actions);
   double loss = 0.0;
   const float inv_batch = 1.0f / batch_size;
@@ -196,15 +189,16 @@ double DqnAgent::TrainBatch(const std::vector<BatchItem>& batch) {
     const int action = batch[i].action;
     PF_CHECK_GE(action, 0);
     PF_CHECK_LT(action, num_actions);
-    const double error = q.At(i, action) - targets[i];
+    const double error =
+        q[static_cast<std::size_t>(i) * num_actions + action] - targets[i];
     loss += error * error;
     grad.At(i, action) = static_cast<float>(2.0 * error) * inv_batch;
   }
   loss /= batch_size;
 
-  online_->ZeroGrad();
-  online_->Backward(grad);
-  optimizer_->Step(online_->Params(), online_->Grads());
+  // The observations are the input layer: no dL/d(input) to compute.
+  tape_.Backward(grad.data());
+  tape_.Step();
 
   ++train_steps_;
   if (config_.target_sync_every > 0 &&

@@ -7,7 +7,7 @@
 
 #include "common/rng.h"
 #include "nn/dueling_net.h"
-#include "nn/optimizer.h"
+#include "nn/tape.h"
 #include "rl/types.h"
 
 namespace pafeat {
@@ -52,11 +52,8 @@ class DqnAgent {
   // episode's stream and asks for a greedy row only when exploiting.
   void ActBatch(int rows, const float* observations, int* actions) const;
 
-  // Q-values of one observation from the online network.
-  std::vector<float> QValues(const std::vector<float>& observation) const;
-
-  // Writes (rows x num_actions) Q-values to `q_out` — the allocation-free
-  // form of QValues, and what it runs on a batch of one.
+  // Writes (rows x num_actions) Q-values of the online network to `q_out`,
+  // through the same batched plane as ActBatch.
   void QValuesBatchInto(int rows, const float* observations,
                         float* q_out) const;
 
@@ -96,8 +93,10 @@ class DqnAgent {
 
   DqnConfig config_;
   std::unique_ptr<DuelingNet> online_;
+  // Inference only (Eqn 1b's theta^-): a weights-only copy of online_.
   std::unique_ptr<DuelingNet> target_;
-  std::unique_ptr<AdamOptimizer> optimizer_;
+  // Activations, gradients and Adam moments of online_.
+  Tape tape_;
   long long train_steps_ = 0;
 
   // PopArt per-task first/second moment EMAs.

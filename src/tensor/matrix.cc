@@ -17,8 +17,6 @@ Matrix::Matrix(int rows, int cols, float fill)
 
 Matrix Matrix::Zeros(int rows, int cols) { return Matrix(rows, cols, 0.0f); }
 
-Matrix Matrix::Ones(int rows, int cols) { return Matrix(rows, cols, 1.0f); }
-
 Matrix Matrix::Identity(int n) {
   Matrix m(n, n);
   for (int i = 0; i < n; ++i) m.At(i, i) = 1.0f;
@@ -103,15 +101,6 @@ void Matrix::Axpy(float scalar, const Matrix& other) {
 void Matrix::MulElementwise(const Matrix& other) {
   PF_CHECK(SameShape(other));
   for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-}
-
-void Matrix::AddRowBroadcast(const Matrix& bias) {
-  PF_CHECK_EQ(bias.rows(), 1);
-  PF_CHECK_EQ(bias.cols(), cols_);
-  for (int r = 0; r < rows_; ++r) {
-    float* row = Row(r);
-    for (int c = 0; c < cols_; ++c) row[c] += bias.data_[c];
-  }
 }
 
 // The three product forms delegate to the blocked/vectorized kernel layer

@@ -20,7 +20,6 @@ class Matrix {
   Matrix(int rows, int cols, float fill);
 
   static Matrix Zeros(int rows, int cols);
-  static Matrix Ones(int rows, int cols);
   static Matrix Identity(int n);
   // Entries drawn i.i.d. uniform in [lo, hi).
   static Matrix RandomUniform(int rows, int cols, float lo, float hi,
@@ -55,9 +54,6 @@ class Matrix {
   void Axpy(float scalar, const Matrix& other);
   // Elementwise product (Hadamard).
   void MulElementwise(const Matrix& other);
-
-  // Adds `bias` (1 x cols) to every row.
-  void AddRowBroadcast(const Matrix& bias);
 
   // Returns this * other. Inner dimensions must agree.
   Matrix MatMul(const Matrix& other) const;

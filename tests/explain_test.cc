@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "core/defaults.h"
 #include "core/greedy_policy.h"
 #include "core/pafeat.h"
 #include "data/synthetic.h"
+#include "rl/dqn_agent.h"
+#include "rl/fs_env.h"
 
 namespace pafeat {
 namespace {
@@ -78,6 +83,49 @@ TEST(ExplainTest, BudgetCapsSelectedCount) {
     if (d.selected) ++selected;
   }
   EXPECT_LE(selected, 2);
+}
+
+std::uint32_t Bits(float value) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// ExplainSelection queries Q on the batched plane, one row at a time: every
+// gap it reports equals, bit for bit, the select - deselect gap the agent's
+// QValuesBatchInto gives for the same observation. Checked on the widest
+// paper shape (m = 1020, obs_dim 2043).
+TEST(ExplainTest, QGapsMatchAgentQValuesBitForBit) {
+  constexpr int kFeatures = 1020;
+  DqnConfig config;
+  config.net.input_dim = 2 * kFeatures + 3;
+  Rng rng(95);
+  const DqnAgent agent(config, &rng);
+  std::vector<float> repr(kFeatures);
+  for (float& value : repr) value = static_cast<float>(rng.Normal(0.0, 1.0));
+  const std::vector<FeatureDecision> decisions =
+      ExplainSelection(agent.online_net(), repr, 0.5);
+  ASSERT_EQ(decisions.size(), static_cast<size_t>(kFeatures));
+
+  // Replay the observations ExplainSelection walked through.
+  std::vector<float> observation(2 * kFeatures + 3, 0.0f);
+  std::copy(repr.begin(), repr.end(), observation.begin());
+  int selected = 0;
+  float q[2];
+  for (const FeatureDecision& decision : decisions) {
+    const int position = decision.feature;
+    observation[2 * kFeatures] = static_cast<float>(position) / kFeatures;
+    observation[2 * kFeatures + 1] = repr[position];
+    observation[2 * kFeatures + 2] = static_cast<float>(selected) / kFeatures;
+    agent.QValuesBatchInto(1, observation.data(), q);
+    ASSERT_EQ(Bits(decision.q_gap),
+              Bits(q[kActionSelect] - q[kActionDeselect]))
+        << "feature " << position;
+    if (decision.selected) {
+      observation[kFeatures + position] = 1.0f;
+      ++selected;
+    }
+  }
 }
 
 }  // namespace

@@ -275,8 +275,11 @@ TEST_F(FeatTest, TrainBitIdenticalAcrossThreadCounts) {
     // greedy selections must be bit-identical, not merely argmax-equal.
     std::vector<float> observation(2 * repr.size() + 3, 0.0f);
     std::copy(repr.begin(), repr.end(), observation.begin());
-    EXPECT_EQ(serial.agent().QValues(observation),
-              pooled.agent().QValues(observation));
+    std::vector<float> serial_q(2);
+    std::vector<float> pooled_q(2);
+    serial.agent().QValuesBatchInto(1, observation.data(), serial_q.data());
+    pooled.agent().QValuesBatchInto(1, observation.data(), pooled_q.data());
+    EXPECT_EQ(serial_q, pooled_q);
   }
 }
 

@@ -64,14 +64,6 @@ TEST(MatrixTest, ElementwiseOps) {
   EXPECT_FLOAT_EQ(a.At(1, 0), 28.5f);
 }
 
-TEST(MatrixTest, AddRowBroadcast) {
-  Matrix m(2, 3, 1.0f);
-  const Matrix bias = Matrix::RowVector({1.0f, 2.0f, 3.0f});
-  m.AddRowBroadcast(bias);
-  EXPECT_FLOAT_EQ(m.At(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(m.At(1, 2), 4.0f);
-}
-
 TEST(MatrixTest, TransposeInvolution) {
   Rng rng(5);
   const Matrix a = Matrix::RandomNormal(3, 5, 1.0f, &rng);

@@ -9,31 +9,60 @@
 #include "nn/activation.h"
 #include "nn/dueling_net.h"
 #include "nn/mlp.h"
-#include "nn/optimizer.h"
+#include "nn/tape.h"
 
 namespace pafeat {
 namespace {
 
 TEST(ActivationTest, ReluClampsNegatives) {
-  Matrix m = Matrix::RowVector({-1.0f, 0.0f, 2.0f});
-  ApplyActivation(Activation::kRelu, &m);
-  EXPECT_FLOAT_EQ(m.At(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(m.At(0, 1), 0.0f);
-  EXPECT_FLOAT_EQ(m.At(0, 2), 2.0f);
+  float v[] = {-1.0f, 0.0f, 2.0f};
+  ApplyActivation(Activation::kRelu, v, 3);
+  EXPECT_FLOAT_EQ(v[0], 0.0f);
+  EXPECT_FLOAT_EQ(v[1], 0.0f);
+  EXPECT_FLOAT_EQ(v[2], 2.0f);
 }
 
 TEST(ActivationTest, SigmoidRange) {
-  Matrix m = Matrix::RowVector({-10.0f, 0.0f, 10.0f});
-  ApplyActivation(Activation::kSigmoid, &m);
-  EXPECT_NEAR(m.At(0, 0), 0.0f, 1e-3f);
-  EXPECT_FLOAT_EQ(m.At(0, 1), 0.5f);
-  EXPECT_NEAR(m.At(0, 2), 1.0f, 1e-3f);
+  float v[] = {-10.0f, 0.0f, 10.0f};
+  ApplyActivation(Activation::kSigmoid, v, 3);
+  EXPECT_NEAR(v[0], 0.0f, 1e-3f);
+  EXPECT_FLOAT_EQ(v[1], 0.5f);
+  EXPECT_NEAR(v[2], 1.0f, 1e-3f);
 }
 
 TEST(ActivationTest, TanhOddFunction) {
-  Matrix m = Matrix::RowVector({-1.5f, 1.5f});
-  ApplyActivation(Activation::kTanh, &m);
-  EXPECT_NEAR(m.At(0, 0), -m.At(0, 1), 1e-6f);
+  float v[] = {-1.5f, 1.5f};
+  ApplyActivation(Activation::kTanh, v, 2);
+  EXPECT_NEAR(v[0], -v[1], 1e-6f);
+}
+
+// dL/d(output) of 0.5 * ||output - target||^2.
+std::vector<float> HalfSquaredErrorGrad(const float* output,
+                                        const Matrix& target) {
+  std::vector<float> grad(output, output + target.size());
+  for (int j = 0; j < target.size(); ++j) grad[j] -= target.data()[j];
+  return grad;
+}
+
+// Central finite difference of `loss` in every parameter of `net` (an Mlp or
+// a DuelingNet), through SerializeParams order — the Tape's gradient order.
+template <typename Net, typename LossFn>
+std::vector<double> FiniteDifferenceGrads(Net* net, LossFn loss, float eps) {
+  std::vector<float> params = net->SerializeParams();
+  std::vector<double> fd(params.size());
+  for (size_t k = 0; k < params.size(); ++k) {
+    const float original = params[k];
+    params[k] = original + eps;
+    EXPECT_TRUE(net->DeserializeParams(params));
+    const double plus = loss();
+    params[k] = original - eps;
+    EXPECT_TRUE(net->DeserializeParams(params));
+    const double minus = loss();
+    params[k] = original;
+    fd[k] = (plus - minus) / (2.0 * eps);
+  }
+  EXPECT_TRUE(net->DeserializeParams(params));
+  return fd;
 }
 
 // Finite-difference gradient check: the heart of trusting the manual
@@ -63,29 +92,14 @@ TEST(MlpTest, GradientMatchesFiniteDifference) {
   };
 
   // Analytic gradients.
-  const Matrix& out = net.Forward(input);
-  Matrix grad = out;
-  grad.Sub(target);
-  net.ZeroGrad();
-  net.Backward(grad);
+  Tape tape(&net, /*learning_rate=*/0.0f);
+  const float* out = tape.Forward(input.rows(), input.data());
+  tape.Backward(HalfSquaredErrorGrad(out, target).data());
 
-  const std::vector<Matrix*> params = net.Params();
-  const std::vector<Matrix*> grads = net.Grads();
-  const float eps = 1e-3f;
-  for (size_t p = 0; p < params.size(); ++p) {
-    // Spot-check a handful of coordinates per tensor.
-    for (int idx = 0; idx < std::min(5, params[p]->size()); ++idx) {
-      float& w = params[p]->data()[idx];
-      const float original = w;
-      w = original + eps;
-      const double loss_plus = loss_fn();
-      w = original - eps;
-      const double loss_minus = loss_fn();
-      w = original;
-      const double fd = (loss_plus - loss_minus) / (2.0 * eps);
-      EXPECT_NEAR(grads[p]->data()[idx], fd, 2e-2)
-          << "param " << p << " index " << idx;
-    }
+  const std::vector<double> fd = FiniteDifferenceGrads(&net, loss_fn, 1e-3f);
+  ASSERT_EQ(tape.grads().size(), fd.size());
+  for (size_t k = 0; k < fd.size(); ++k) {
+    EXPECT_NEAR(tape.grads()[k], fd[k], 2e-2) << "param " << k;
   }
 }
 
@@ -99,12 +113,11 @@ TEST(MlpTest, BackwardReturnsInputGradient) {
   Mlp net(config, &rng);
 
   Matrix input = Matrix::RandomNormal(1, 3, 1.0f, &rng);
-  const Matrix& out = net.Forward(input);
-  Matrix grad_out(1, 2, 1.0f);
-  (void)out;
-  const Matrix grad_in = net.Backward(grad_out);
-  ASSERT_EQ(grad_in.rows(), 1);
-  ASSERT_EQ(grad_in.cols(), 3);
+  Tape tape(&net, /*learning_rate=*/0.0f);
+  tape.Forward(1, input.data());
+  const std::vector<float> grad_out(2, 1.0f);
+  std::vector<float> grad_in(3);
+  tape.Backward(grad_out.data(), grad_in.data());
 
   // Finite difference on the input.
   auto scalar_out = [&](const Matrix& x) {
@@ -118,10 +131,13 @@ TEST(MlpTest, BackwardReturnsInputGradient) {
     Matrix minus = input;
     minus.At(0, c) -= eps;
     const double fd = (scalar_out(plus) - scalar_out(minus)) / (2.0 * eps);
-    EXPECT_NEAR(grad_in.At(0, c), fd, 2e-2);
+    EXPECT_NEAR(grad_in[c], fd, 2e-2);
   }
 }
 
+// The Tape's forward pass runs the net's own layer loop, so training sees
+// exactly the bits inference computes — below and above GemmNT's transpose
+// threshold of 8 rows.
 TEST(MlpTest, PredictMatchesForward) {
   Rng rng(7);
   MlpConfig config;
@@ -129,13 +145,15 @@ TEST(MlpTest, PredictMatchesForward) {
   config.hidden_dims = {8, 8};
   config.output_dim = 2;
   Mlp net(config, &rng);
-  const Matrix input = Matrix::RandomNormal(3, 6, 1.0f, &rng);
-  const Matrix predicted = net.Predict(input);
-  const Matrix& forwarded = net.Forward(input);
-  for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 2; ++c) {
-      EXPECT_FLOAT_EQ(predicted.At(r, c), forwarded.At(r, c));
-    }
+  Tape tape(&net, /*learning_rate=*/0.0f);
+  for (const int rows : {3, 32}) {
+    const Matrix input = Matrix::RandomNormal(rows, 6, 1.0f, &rng);
+    const Matrix predicted = net.Predict(input);
+    const float* forwarded = tape.Forward(rows, input.data());
+    EXPECT_EQ(std::vector<float>(predicted.data(),
+                                 predicted.data() + predicted.size()),
+              std::vector<float>(forwarded, forwarded + predicted.size()))
+        << rows << " rows";
   }
 }
 
@@ -176,41 +194,27 @@ TEST(MlpTest, CopyParamsFromMakesNetworksIdentical) {
   EXPECT_FLOAT_EQ(a.Predict(input).At(0, 0), b.Predict(input).At(0, 0));
 }
 
-TEST(OptimizerTest, SgdConvergesOnQuadratic) {
-  // Minimize 0.5 * ||w - t||^2; gradient = w - t.
-  Matrix w(1, 3, 0.0f);
-  const Matrix target = Matrix::RowVector({1.0f, -2.0f, 0.5f});
-  SgdOptimizer sgd(0.2f);
-  for (int step = 0; step < 100; ++step) {
-    Matrix grad = w;
-    grad.Sub(target);
-    sgd.Step({&w}, {&grad});
-  }
-  for (int c = 0; c < 3; ++c) EXPECT_NEAR(w.At(0, c), target.At(0, c), 1e-4f);
-}
-
-TEST(OptimizerTest, SgdMomentumConverges) {
-  Matrix w(1, 2, 5.0f);
-  const Matrix target = Matrix::RowVector({-1.0f, 2.0f});
-  SgdOptimizer sgd(0.05f, 0.9f);
-  for (int step = 0; step < 300; ++step) {
-    Matrix grad = w;
-    grad.Sub(target);
-    sgd.Step({&w}, {&grad});
-  }
-  for (int c = 0; c < 2; ++c) EXPECT_NEAR(w.At(0, c), target.At(0, c), 1e-2f);
-}
-
+// Adam through the Tape on 0.5 * ||b - t||^2: a linear layer fed a zero
+// input outputs its bias b, so dL/db = b - t and the weights see no gradient.
 TEST(OptimizerTest, AdamConvergesOnQuadratic) {
-  Matrix w(1, 3, 4.0f);
+  MlpConfig config;
+  config.input_dim = 1;
+  config.output_dim = 3;
+  Mlp net(config, nullptr);
+  ASSERT_TRUE(net.DeserializeParams({0.0f, 0.0f, 0.0f, 4.0f, 4.0f, 4.0f}));
   const Matrix target = Matrix::RowVector({1.0f, -2.0f, 0.5f});
-  AdamOptimizer adam(0.1f);
+  const float zero_input = 0.0f;
+  Tape tape(&net, 0.1f);
   for (int step = 0; step < 500; ++step) {
-    Matrix grad = w;
-    grad.Sub(target);
-    adam.Step({&w}, {&grad});
+    const float* bias = tape.Forward(1, &zero_input);
+    tape.Backward(HalfSquaredErrorGrad(bias, target).data());
+    tape.Step();
   }
-  for (int c = 0; c < 3; ++c) EXPECT_NEAR(w.At(0, c), target.At(0, c), 1e-2f);
+  const std::vector<float> params = net.SerializeParams();
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_EQ(params[c], 0.0f);
+    EXPECT_NEAR(params[3 + c], target.At(0, c), 1e-2f);
+  }
 }
 
 TEST(DuelingNetTest, AggregationIsZeroCenteredAdvantage) {
@@ -251,33 +255,36 @@ TEST(DuelingNetTest, GradientMatchesFiniteDifference) {
     return loss;
   };
 
-  Matrix q = net.Forward(states);
-  Matrix grad = q;
-  grad.Sub(target);
-  net.ZeroGrad();
-  net.Backward(grad);
+  Tape tape(&net, /*learning_rate=*/0.0f);
+  const float* q = tape.Forward(states.rows(), states.data());
+  tape.Backward(HalfSquaredErrorGrad(q, target).data());
 
-  const std::vector<Matrix*> params = net.Params();
-  const std::vector<Matrix*> grads = net.Grads();
-  const float eps = 1e-3f;
-  int checked = 0;
-  for (size_t p = 0; p < params.size(); ++p) {
-    for (int idx = 0; idx < std::min(3, params[p]->size()); ++idx) {
-      float& w = params[p]->data()[idx];
-      const float original = w;
-      w = original + eps;
-      const double plus = loss_fn();
-      w = original - eps;
-      const double minus = loss_fn();
-      w = original;
-      const double fd = (plus - minus) / (2.0 * eps);
-      // ReLU kinks make FD noisy; use a loose tolerance.
-      EXPECT_NEAR(grads[p]->data()[idx], fd, 5e-2)
-          << "param " << p << " index " << idx;
-      ++checked;
-    }
+  const std::vector<double> fd = FiniteDifferenceGrads(&net, loss_fn, 1e-3f);
+  ASSERT_EQ(tape.grads().size(), fd.size());
+  for (size_t k = 0; k < fd.size(); ++k) {
+    // ReLU kinks make FD noisy; use a loose tolerance.
+    EXPECT_NEAR(tape.grads()[k], fd[k], 5e-2) << "param " << k;
   }
-  EXPECT_GT(checked, 10);
+}
+
+// The dueling forward pass of the Tape aggregates exactly as PredictInto does.
+TEST(DuelingNetTest, TapeForwardMatchesPredict) {
+  Rng rng(18);
+  DuelingNetConfig config;
+  config.input_dim = 9;
+  config.trunk_hidden = {16, 8};
+  config.num_actions = 3;
+  DuelingNet net(config, &rng);
+  Tape tape(&net, /*learning_rate=*/0.0f);
+  for (const int rows : {1, 32}) {
+    const Matrix states = Matrix::RandomNormal(rows, 9, 1.0f, &rng);
+    const Matrix predicted = net.Predict(states);
+    const float* forwarded = tape.Forward(rows, states.data());
+    EXPECT_EQ(std::vector<float>(predicted.data(),
+                                 predicted.data() + predicted.size()),
+              std::vector<float>(forwarded, forwarded + predicted.size()))
+        << rows << " rows";
+  }
 }
 
 TEST(DuelingNetTest, ExtraRescaleLayerAddsParameters) {
@@ -347,23 +354,24 @@ TEST(DuelingNetTest, TrainsTowardTargets) {
   config.input_dim = 3;
   config.trunk_hidden = {16};
   DuelingNet net(config, &rng);
-  AdamOptimizer adam(3e-3f);
+  Tape tape(&net, 3e-3f);
   const Matrix states = Matrix::RandomNormal(8, 3, 1.0f, &rng);
   const Matrix target = Matrix::RandomNormal(8, 2, 1.0f, &rng);
 
   double first_loss = 0.0;
   double last_loss = 0.0;
   for (int step = 0; step < 400; ++step) {
-    Matrix q = net.Forward(states);
-    Matrix grad = q;
-    grad.Sub(target);
-    double loss = grad.SquaredNorm();
+    std::vector<float> grad =
+        HalfSquaredErrorGrad(tape.Forward(8, states.data()), target);
+    double loss = 0.0;
+    for (float& g : grad) {
+      loss += static_cast<double>(g) * g;
+      g /= 8;
+    }
     if (step == 0) first_loss = loss;
     last_loss = loss;
-    grad.Scale(1.0f / 8);
-    net.ZeroGrad();
-    net.Backward(grad);
-    adam.Step(net.Params(), net.Grads());
+    tape.Backward(grad.data());
+    tape.Step();
   }
   EXPECT_LT(last_loss, first_loss * 0.1);
 }

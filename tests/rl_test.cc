@@ -262,6 +262,14 @@ TEST_F(FsEnvTest, ObservationForArbitraryState) {
   EXPECT_FLOAT_EQ(obs[14], 2.0f / 6.0f);
 }
 
+// Q-values of one observation: a batch of one through QValuesBatchInto.
+std::vector<float> QValues(const DqnAgent& agent,
+                           const std::vector<float>& observation) {
+  std::vector<float> q(agent.config().net.num_actions);
+  agent.QValuesBatchInto(1, observation.data(), q.data());
+  return q;
+}
+
 DqnConfig SmallDqnConfig(int obs_dim) {
   DqnConfig config;
   config.net.input_dim = obs_dim;
@@ -292,7 +300,7 @@ TEST(DqnAgentTest, GreedyActionIsArgmaxQ) {
   Rng rng(33);
   DqnAgent agent(SmallDqnConfig(4), &rng);
   const std::vector<float> obs = {0.5f, -0.3f, 0.1f, 0.9f};
-  const std::vector<float> q = agent.QValues(obs);
+  const std::vector<float> q = QValues(agent, obs);
   int greedy = -1;
   agent.ActBatch(1, obs.data(), &greedy);
   EXPECT_EQ(greedy, q[1] > q[0] ? 1 : 0);
@@ -315,7 +323,7 @@ TEST(DqnAgentTest, LearnsActionValuesOnBandit) {
     batch.push_back(item);
   }
   for (int step = 0; step < 300; ++step) agent.TrainBatch(batch);
-  const std::vector<float> q = agent.QValues({1.0f, 0.0f, 0.0f});
+  const std::vector<float> q = QValues(agent, {1.0f, 0.0f, 0.0f});
   EXPECT_NEAR(q[1], 1.0f, 0.1f);
   EXPECT_NEAR(q[0], 0.0f, 0.1f);
   const std::vector<float> obs = {1.0f, 0.0f, 0.0f};
@@ -360,8 +368,8 @@ TEST(DqnAgentTest, BootstrapsThroughNonTerminalStates) {
     batch.push_back(null_b);
   }
   for (int step = 0; step < 500; ++step) agent.TrainBatch(batch);
-  EXPECT_NEAR(agent.QValues({0.0f, 1.0f})[1], 1.0f, 0.15f);
-  EXPECT_NEAR(agent.QValues({1.0f, 0.0f})[1], 0.5f, 0.15f);
+  EXPECT_NEAR(QValues(agent, {0.0f, 1.0f})[1], 1.0f, 0.15f);
+  EXPECT_NEAR(QValues(agent, {1.0f, 0.0f})[1], 0.5f, 0.15f);
 }
 
 TEST(DqnAgentTest, TrainReducesLoss) {
@@ -402,7 +410,7 @@ TEST(DqnAgentTest, DoubleDqnLearnsBanditToo) {
     batch.push_back(item);
   }
   for (int step = 0; step < 300; ++step) agent.TrainBatch(batch);
-  const std::vector<float> q = agent.QValues({1.0f, 0.0f, 0.0f});
+  const std::vector<float> q = QValues(agent, {1.0f, 0.0f, 0.0f});
   EXPECT_NEAR(q[1], 1.0f, 0.1f);
   EXPECT_NEAR(q[0], 0.0f, 0.1f);
 }
@@ -443,8 +451,8 @@ TEST(DqnAgentTest, DoubleDqnBootstrapsChain) {
     batch.push_back(null_b);
   }
   for (int step = 0; step < 500; ++step) agent.TrainBatch(batch);
-  EXPECT_NEAR(agent.QValues({0.0f, 1.0f})[1], 1.0f, 0.15f);
-  EXPECT_NEAR(agent.QValues({1.0f, 0.0f})[1], 0.5f, 0.15f);
+  EXPECT_NEAR(QValues(agent, {0.0f, 1.0f})[1], 1.0f, 0.15f);
+  EXPECT_NEAR(QValues(agent, {1.0f, 0.0f})[1], 0.5f, 0.15f);
 }
 
 TEST(DqnAgentTest, PopArtStatsTrackTargets) {
