@@ -8,9 +8,11 @@
 #             (tree-wide determinism/concurrency lint), the lint self-test,
 #             and the generated per-header self-containment TUs
 #   analyze   The cross-TU semantic pass (pafeat-analyze) standalone: rule
-#             self-tests, then the tree gate over src/ — any new rng-escape /
-#             borrow-across-mutation / hot-path-alloc / pool-reentrancy
-#             finding fails the run (ctest covers this too via
+#             self-tests, then the tree gate over src/ with tools/,
+#             examples/, bench/, bench_e2e/ and tests/ indexed as callers —
+#             any new rng-escape / borrow-across-mutation / hot-path-alloc /
+#             pool-reentrancy / test-only-api finding fails the run (ctest
+#             covers this too via
 #             pafeat_analyze_{selftest,tree}; the dedicated step makes the
 #             analyzer's verdict a first-class row in the summary table)
 #   generic   The same release binaries re-tested under PAFEAT_SIMD=generic:
@@ -84,7 +86,8 @@ asan_step() {
 # Semantic analyzer leg: reuses the release tree's binary (built above).
 analyze_step() {
   ./build/tools/lint/pafeat-analyze --self-test &&
-  ./build/tools/lint/pafeat-analyze --root . src
+  ./build/tools/lint/pafeat-analyze --root . \
+    src tools examples bench bench_e2e tests
 }
 
 run_step "release+lint+werror" release_step

@@ -68,6 +68,7 @@ FeatureMask PopArtSelector::SelectForUnseen(FsProblem* problem,
 GoExploreProvider::GoExploreProvider(int num_features, double use_probability)
     : num_features_(num_features), use_probability_(use_probability) {}
 
+// lint: allow(test-only-api): test hook for FeatBaselinesTest.GoExploreProviderArchivesStates
 int GoExploreProvider::ArchiveSize(int task_slot) const {
   if (task_slot >= static_cast<int>(archives_.size())) return 0;
   return static_cast<int>(archives_[task_slot].entries.size());

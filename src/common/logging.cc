@@ -3,7 +3,8 @@
 namespace pafeat {
 namespace {
 
-LogLevel g_min_level = LogLevel::kInfo;
+// Messages below this level are dropped.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -21,10 +22,6 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel MinLogLevel() { return g_min_level; }
-
-void SetMinLogLevel(LogLevel level) { g_min_level = level; }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -33,7 +30,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) >= static_cast<int>(g_min_level)) {
+  if (static_cast<int>(level_) >= static_cast<int>(kMinLevel)) {
     std::cerr << stream_.str() << "\n";
   }
 }

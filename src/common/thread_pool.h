@@ -127,7 +127,6 @@ class DedicatedThread {
   // Blocks until the loop function returns. Idempotent; safe without Start.
   void Join();
 
-  bool running() const { return thread_.joinable(); }
 
  private:
   std::thread thread_;

@@ -74,11 +74,13 @@ int ETree::FindNode(const std::vector<int>& prefix) const {
   return node;
 }
 
+// lint: allow(test-only-api): test hook for ETreeTest.SharedPrefixAccumulates
 double ETree::NodeValue(const std::vector<int>& prefix) const {
   const int node = FindNode(prefix);
   return node < 0 ? -1.0 : nodes_[node].MeanValue();
 }
 
+// lint: allow(test-only-api): test hook for ETreeTest.SharedPrefixAccumulates
 int ETree::NodeVisits(const std::vector<int>& prefix) const {
   const int node = FindNode(prefix);
   return node < 0 ? 0 : nodes_[node].visits;

@@ -34,7 +34,9 @@ class ETree {
   // Converts a decision prefix into an environment state.
   EnvState PrefixToState(const std::vector<int>& prefix) const;
 
+  // lint: allow(test-only-api): test hook for ETreeTest.AddTrajectoryCreatesPath
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  // lint: allow(test-only-api): test hook for ETreeTest.AddTrajectoryCreatesPath
   int root_visits() const { return nodes_[0].visits; }
   bool empty() const { return nodes_[0].visits == 0; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -267,13 +268,12 @@ IterationStats Feat::RunIteration() {
       std::max(1, std::min(config_.num_threads, num_episodes));
   if (focus_slot_ >= 0) {
     PF_CHECK_LT(focus_slot_, num_tasks());
-    last_probabilities_.assign(tasks_.size(), 0.0);
-    last_probabilities_[focus_slot_] = 1.0;
+    stats.task_probabilities.assign(tasks_.size(), 0.0);
+    stats.task_probabilities[focus_slot_] = 1.0;
   } else {
-    last_probabilities_ = scheduler_->Probabilities(tasks_);
+    stats.task_probabilities = scheduler_->Probabilities(tasks_);
   }
-  PF_CHECK_EQ(last_probabilities_.size(), tasks_.size());
-  stats.task_probabilities = last_probabilities_;
+  PF_CHECK_EQ(stats.task_probabilities.size(), tasks_.size());
 
   // Plan all N episodes on this thread (task choice, customized initial
   // state, per-episode RNG, reward-shaper context), then execute them —
@@ -282,7 +282,7 @@ IterationStats Feat::RunIteration() {
   std::vector<EpisodePlan> plans(num_episodes);
   for (int i = 0; i < num_episodes; ++i) {
     EpisodePlan& plan = plans[i];
-    plan.slot = rng_.SampleDiscrete(last_probabilities_);
+    plan.slot = rng_.SampleDiscrete(stats.task_probabilities);
     if (state_provider_ != nullptr) {
       plan.start = state_provider_->Propose(plan.slot, tasks_[plan.slot],
                                             &rng_);
@@ -397,31 +397,10 @@ IterationStats Feat::RunIteration() {
 }
 
 double Feat::Train(int iterations) {
-  return TrainWithStats(iterations).mean_iteration_seconds;
-}
-
-TrainingStats Feat::TrainWithStats(int iterations) {
   PF_CHECK_GT(iterations, 0);
-  TrainingStats totals;
-  double loss_sum = 0.0;
-  for (int i = 0; i < iterations; ++i) {
-    const IterationStats stats = RunIteration();
-    ++totals.iterations;
-    totals.total_seconds += stats.seconds;
-    totals.episodes += stats.episodes;
-    loss_sum += stats.mean_loss;
-    totals.cache_hits += stats.cache_hits;
-    totals.cache_misses += stats.cache_misses;
-    totals.cache_evictions += stats.cache_evictions;
-    totals.replay_evictions += stats.replay_evictions;
-    totals.peak_cache_bytes =
-        std::max(totals.peak_cache_bytes, stats.cache_bytes);
-    totals.peak_replay_bytes =
-        std::max(totals.peak_replay_bytes, stats.replay_bytes);
-  }
-  totals.mean_iteration_seconds = totals.total_seconds / totals.iterations;
-  totals.mean_loss = loss_sum / totals.iterations;
-  return totals;
+  double total_seconds = 0.0;
+  for (int i = 0; i < iterations; ++i) total_seconds += RunIteration().seconds;
+  return total_seconds / iterations;
 }
 
 namespace {
@@ -566,6 +545,9 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
     task.recent_returns.clear();
     for (uint32_t i = 0; i < return_count; ++i) {
       task.recent_returns.push_back(in->F64());
+      if (!std::isfinite(task.recent_returns.back())) {
+        return fail("corrupt training state (non-finite recent return)");
+      }
     }
     const uint32_t trajectory_count = in->U32();
     if (!in->Fits(trajectory_count, trajectory_bytes)) {
@@ -575,6 +557,11 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
       const double priority = in->F64();
       Trajectory trajectory;
       trajectory.episode_return = in->F64();
+      if (!std::isfinite(priority) ||
+          !std::isfinite(trajectory.episode_return)) {
+        return fail("corrupt training state (non-finite replay priority or "
+                    "return)");
+      }
       const uint32_t transition_count = in->U32();
       if (!in->Fits(transition_count, transition_bytes)) {
         return fail("corrupt training state (transition count)");
@@ -598,6 +585,9 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
         if (transition.action < 0 || transition.action >= kNumActions) {
           return fail("corrupt training state (replay action)");
         }
+        if (!std::isfinite(transition.reward)) {
+          return fail("corrupt training state (non-finite replay reward)");
+        }
       }
       task.buffer->AddTrajectory(std::move(trajectory), priority);
     }
@@ -612,6 +602,9 @@ bool Feat::RestoreTrainingState(ByteReader* in, std::string* error) {
       in->Raw(key.data(), static_cast<std::size_t>(words) * sizeof(uint64_t));
       const double value = in->F64();
       if (!in->ok()) return fail("truncated training state (reward cache)");
+      if (!std::isfinite(value)) {
+        return fail("corrupt training state (non-finite reward-cache value)");
+      }
       task.context->evaluator->ImportCacheEntry(std::move(key), value);
     }
   }

@@ -149,30 +149,6 @@ struct IterationStats {
   std::size_t replay_bytes = 0;
 };
 
-// Aggregate over a multi-iteration training run (Feat::TrainWithStats): the
-// per-iteration IterationStats folded together so long runs are observable
-// without collecting every RunIteration result by hand.
-struct TrainingStats {
-  int iterations = 0;
-  double total_seconds = 0.0;
-  double mean_iteration_seconds = 0.0;
-  int episodes = 0;           // committed episodes across all iterations
-  double mean_loss = 0.0;     // unweighted mean of per-iteration mean losses
-  long long cache_hits = 0;   // summed reward-cache deltas
-  long long cache_misses = 0;
-  long long cache_evictions = 0;
-  long long replay_evictions = 0;
-  // High-water marks of the end-of-iteration resident bytes.
-  std::size_t peak_cache_bytes = 0;
-  std::size_t peak_replay_bytes = 0;
-
-  // Fraction of reward-cache lookups served from cache (0 with no traffic).
-  double CacheHitRate() const {
-    const long long lookups = cache_hits + cache_misses;
-    return lookups > 0 ? static_cast<double>(cache_hits) / lookups : 0.0;
-  }
-};
-
 // The FEAT framework (paper §III-B, Algorithm 1): one global Dueling-DQN
 // agent trained from per-task replay buffers filled by episodes on the seen
 // tasks' environments. PA-FEAT and the FEAT-based baselines (PopArt,
@@ -195,11 +171,6 @@ class Feat {
 
   // Runs `iterations` iterations; returns the mean iteration wall time.
   double Train(int iterations);
-
-  // Runs `iterations` iterations and returns the aggregated statistics
-  // (Train keeps only mean seconds; this keeps episodes, losses and
-  // reward-cache traffic as well).
-  TrainingStats TrainWithStats(int iterations);
 
   // Fast feature selection for an unseen task (Algorithm 1 lines 22-24):
   // computes the task representation and executes one greedy episode. The
@@ -250,9 +221,6 @@ class Feat {
   DqnAgent& agent() { return *agent_; }
   const FeatConfig& config() const { return config_; }
   FsProblem& problem() { return *problem_; }
-  const std::vector<double>& last_probabilities() const {
-    return last_probabilities_;
-  }
 
  private:
   // One planned unit of the buffer-filling phase.
@@ -294,7 +262,6 @@ class Feat {
   std::unique_ptr<TaskScheduler> scheduler_;
   std::unique_ptr<InitialStateProvider> state_provider_;
   std::unique_ptr<RewardShaper> reward_shaper_;
-  std::vector<double> last_probabilities_;
   int focus_slot_ = -1;
   // 0-based index of the next RunIteration call (saved with the training
   // state).

@@ -70,9 +70,6 @@ class GreedyScanState {
   // empty subset). Idempotent; no-op when anything was selected.
   void FinalizeFallback();
 
-  int position() const { return position_; }
-  int selected_count() const { return selected_; }
-  int max_selectable() const { return max_selectable_; }
 
  private:
   const float* representation_ = nullptr;

@@ -32,17 +32,6 @@ RunStatistics Summarize(const std::vector<double>& values) {
   return statistics;
 }
 
-RunStatistics RepeatRuns(int runs, uint64_t base_seed,
-                         const std::function<double(uint64_t seed)>& run) {
-  PF_CHECK_GT(runs, 0);
-  std::vector<double> values;
-  values.reserve(runs);
-  for (int i = 0; i < runs; ++i) {
-    values.push_back(run(base_seed + static_cast<uint64_t>(i)));
-  }
-  return Summarize(values);
-}
-
 std::string FormatMeanStd(const RunStatistics& statistics, int digits) {
   return FormatDouble(statistics.mean, digits) + " ± " +
          FormatDouble(statistics.stddev, digits);

@@ -1,7 +1,6 @@
 #ifndef PAFEAT_CORE_MULTI_RUN_H_
 #define PAFEAT_CORE_MULTI_RUN_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,11 +18,6 @@ struct RunStatistics {
 };
 
 RunStatistics Summarize(const std::vector<double>& values);
-
-// Invokes `run` with seeds base_seed, base_seed + 1, ... and summarizes the
-// returned metric.
-RunStatistics RepeatRuns(int runs, uint64_t base_seed,
-                         const std::function<double(uint64_t seed)>& run);
 
 // "0.7312 ± 0.0123" with the given digit count.
 std::string FormatMeanStd(const RunStatistics& statistics, int digits);

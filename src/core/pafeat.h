@@ -37,12 +37,6 @@ class PaFeat {
   // seconds (Table II's "Iter").
   double Train(int iterations);
 
-  // Like Train, but returns the aggregated run statistics (episodes, mean
-  // loss, reward-cache hit rate) instead of only the mean wall time.
-  TrainingStats TrainWithStats(int iterations) {
-    return feat_->TrainWithStats(iterations);
-  }
-
   IterationStats RunIteration() { return feat_->RunIteration(); }
 
   // Fast feature selection for an unseen task; `execution_seconds` (optional)
@@ -82,6 +76,7 @@ class PaFeat {
   const Feat& feat() const { return *feat_; }
   const PaFeatConfig& config() const { return config_; }
   // The ITE, or nullptr under the w/o-ITE ablation.
+  // lint: allow(test-only-api): test hook for PaFeatIntegrationTest.ExplorerTreesArePopulated
   const IntraTaskExplorer* explorer() const { return explorer_; }
 
  private:

@@ -32,6 +32,7 @@ FsProblem::FsProblem(Table table, const FsProblemConfig& config, uint64_t seed)
   PF_CHECK(!classifier_rows_.empty());
 }
 
+// lint: allow(test-only-api): test hook for FsProblemTest.TaskContextsAreLazyAndCached
 bool FsProblem::TaskBuilt(int label_index) const {
   return tasks_.find(label_index) != tasks_.end();
 }

@@ -58,16 +58,4 @@ size_t PackedMaskHash::operator()(const PackedMask& packed) const {
   return static_cast<size_t>(h);
 }
 
-std::string MaskToString(const FeatureMask& mask) {
-  std::string out = "{";
-  bool first = true;
-  for (int i : MaskToIndices(mask)) {
-    if (!first) out += ", ";
-    out += std::to_string(i);
-    first = false;
-  }
-  out += "}";
-  return out;
-}
-
 }  // namespace pafeat

@@ -37,9 +37,6 @@ struct PackedMaskHash {
   size_t operator()(const PackedMask& packed) const;
 };
 
-// Human-readable form such as "{0, 3, 7}" for logs and tests.
-std::string MaskToString(const FeatureMask& mask);
-
 }  // namespace pafeat
 
 #endif  // PAFEAT_DATA_FEATURE_MASK_H_

@@ -21,41 +21,6 @@ TrainTestSplit MakeSplit(int num_rows, double train_fraction, Rng* rng) {
   return split;
 }
 
-TrainTestSplit MakeStratifiedSplit(const std::vector<float>& labels,
-                                   double train_fraction, Rng* rng) {
-  PF_CHECK_GT(labels.size(), 1u);
-  PF_CHECK_GT(train_fraction, 0.0);
-  PF_CHECK_LT(train_fraction, 1.0);
-
-  std::vector<int> positives;
-  std::vector<int> negatives;
-  for (int i = 0; i < static_cast<int>(labels.size()); ++i) {
-    (labels[i] > 0.5f ? positives : negatives).push_back(i);
-  }
-  rng->Shuffle(&positives);
-  rng->Shuffle(&negatives);
-
-  TrainTestSplit split;
-  auto partition = [&](std::vector<int>& group) {
-    // Keep at least one row of the group on each side when possible.
-    int train_count =
-        static_cast<int>(std::lround(group.size() * train_fraction));
-    if (group.size() >= 2) {
-      train_count = std::max(1, std::min(train_count,
-                                         static_cast<int>(group.size()) - 1));
-    }
-    for (int i = 0; i < static_cast<int>(group.size()); ++i) {
-      (i < train_count ? split.train_rows : split.test_rows).push_back(
-          group[i]);
-    }
-  };
-  partition(positives);
-  partition(negatives);
-  PF_CHECK(!split.train_rows.empty());
-  PF_CHECK(!split.test_rows.empty());
-  return split;
-}
-
 void Standardizer::Fit(const Matrix& features, const std::vector<int>& rows) {
   PF_CHECK(!rows.empty());
   const int m = features.cols();

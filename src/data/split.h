@@ -16,13 +16,6 @@ struct TrainTestSplit {
 // Random split with the paper's 70/30 default (§IV-A4).
 TrainTestSplit MakeSplit(int num_rows, double train_fraction, Rng* rng);
 
-// Stratified split: preserves the positive rate of `labels` (0/1 floats) in
-// both partitions — useful when a task's positive rate is near the 0.25
-// lower end of the evaluation datasets and a random 30% test cut could
-// otherwise end up with very few positives.
-TrainTestSplit MakeStratifiedSplit(const std::vector<float>& labels,
-                                   double train_fraction, Rng* rng);
-
 // Per-feature z-score standardizer fitted on training rows only.
 class Standardizer {
  public:
@@ -31,9 +24,6 @@ class Standardizer {
 
   // Returns a standardized copy of all rows.
   Matrix Transform(const Matrix& features) const;
-
-  const std::vector<float>& means() const { return means_; }
-  const std::vector<float>& stddevs() const { return stddevs_; }
 
  private:
   std::vector<float> means_;

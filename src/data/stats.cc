@@ -108,29 +108,6 @@ double MutualInformationWithLabel(const Matrix& features, int feature,
   return std::max(0.0, h_feature + h_label - h_joint);
 }
 
-double MutualInformationBetweenFeatures(const Matrix& features, int feature_a,
-                                        int feature_b,
-                                        const std::vector<int>& rows,
-                                        int bins) {
-  PF_CHECK(!rows.empty());
-  PF_CHECK_GT(bins, 1);
-  const std::vector<int> ids_a = BinFeature(features, feature_a, rows, bins);
-  const std::vector<int> ids_b = BinFeature(features, feature_b, rows, bins);
-  std::vector<double> joint(bins * bins, 0.0);
-  std::vector<double> marginal_a(bins, 0.0);
-  std::vector<double> marginal_b(bins, 0.0);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    joint[ids_a[i] * bins + ids_b[i]] += 1.0;
-    marginal_a[ids_a[i]] += 1.0;
-    marginal_b[ids_b[i]] += 1.0;
-  }
-  const double total = static_cast<double>(rows.size());
-  const double h_joint = EntropyFromCounts(joint, total);
-  const double h_a = EntropyFromCounts(marginal_a, total);
-  const double h_b = EntropyFromCounts(marginal_b, total);
-  return std::max(0.0, h_a + h_b - h_joint);
-}
-
 BinnedFeatures::BinnedFeatures(const Matrix& features,
                                const std::vector<int>& rows, int bins)
     : bins_(bins), num_rows_(static_cast<int>(rows.size())) {

@@ -26,13 +26,6 @@ double MutualInformationWithLabel(const Matrix& features, int feature,
                                   const std::vector<float>& labels,
                                   const std::vector<int>& rows, int bins = 10);
 
-// Histogram-based mutual information between two continuous features
-// (bins x bins joint histogram). Used by the redundancy terms.
-double MutualInformationBetweenFeatures(const Matrix& features, int feature_a,
-                                        int feature_b,
-                                        const std::vector<int>& rows,
-                                        int bins = 10);
-
 // Pre-binned view of every feature over a fixed row set, amortizing the
 // equal-width binning across the O(m * |S|) pairwise MI queries issued by
 // the redundancy-aware baselines (GRRO-LS, Ant-TD).

@@ -217,11 +217,4 @@ std::optional<SyntheticSpec> PaperSpecByName(const std::string& name) {
   return std::nullopt;
 }
 
-SyntheticSpec ScaledSpec(const SyntheticSpec& spec, double row_scale) {
-  SyntheticSpec scaled = spec;
-  scaled.num_instances = std::max(
-      200, static_cast<int>(std::lround(spec.num_instances * row_scale)));
-  return scaled;
-}
-
 }  // namespace pafeat

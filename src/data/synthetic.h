@@ -63,10 +63,6 @@ std::vector<SyntheticSpec> PaperDatasetSpecs();
 // Looks up a paper spec by (case-sensitive) name.
 std::optional<SyntheticSpec> PaperSpecByName(const std::string& name);
 
-// Returns a copy of `spec` with num_instances scaled by `row_scale`
-// (clamped below at 200 rows) — used to keep bench runtimes bounded.
-SyntheticSpec ScaledSpec(const SyntheticSpec& spec, double row_scale);
-
 }  // namespace pafeat
 
 #endif  // PAFEAT_DATA_SYNTHETIC_H_

@@ -23,7 +23,6 @@ class Table {
 
   const Matrix& features() const { return features_; }
   const Matrix& labels() const { return labels_; }
-  Matrix* mutable_features() { return &features_; }
 
   const std::vector<std::string>& feature_names() const {
     return feature_names_;
@@ -52,7 +51,6 @@ class TaskView {
       : table_(table), label_index_(label_index) {}
 
   const Table& table() const { return *table_; }
-  int label_index() const { return label_index_; }
   int num_rows() const { return table_->num_rows(); }
   int num_features() const { return table_->num_features(); }
 

@@ -12,6 +12,7 @@ void SymmetricSparse::Add(int i, int j, float w) {
   entries_.push_back({i, j, w});
 }
 
+// lint: allow(test-only-api): oracle for SymmetricSparseTest.MatMatMatchesMatVecPerColumn
 std::vector<float> SymmetricSparse::MatVec(const std::vector<float>& x) const {
   PF_CHECK_EQ(static_cast<int>(x.size()), n_);
   std::vector<float> y(n_, 0.0f);

@@ -14,9 +14,6 @@ class SymmetricSparse {
  public:
   explicit SymmetricSparse(int n) : n_(n) {}
 
-  int n() const { return n_; }
-  int nnz() const { return static_cast<int>(entries_.size()); }
-
   // Adds w to entry (i, j) (and, implicitly, (j, i) when i != j).
   void Add(int i, int j, float w);
 

@@ -30,7 +30,6 @@ TieredRewardCache::Probe TieredRewardCache::AcquireOrWait(const Key& key,
       Entry& entry = EntryAt(it->second);
       entry.referenced = true;
       entry.touched_epoch = epoch_;
-      ++total_hits_;
       ++window_.hits;
       *value = entry.value;
       return Probe::kHit;
@@ -45,7 +44,6 @@ TieredRewardCache::Probe TieredRewardCache::AcquireOrWait(const Key& key,
 void TieredRewardCache::Publish(Key key, double value) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++total_misses_;
     ++window_.misses;
     in_flight_.erase(key);
     Entry entry;
@@ -130,7 +128,6 @@ void TieredRewardCache::SweepLocked() {
     entry.key.shrink_to_fit();
     free_slots_.push_back(static_cast<std::uint32_t>(hand_ - 1));
     --live_entries_;
-    ++total_evictions_;
     ++window_.evictions;
     scanned_since_evict = 0;
   }
@@ -153,29 +150,9 @@ MemoryTraffic TieredRewardCache::TakeTraffic() {
   return drained;
 }
 
-long long TieredRewardCache::total_hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_hits_;
-}
-
-long long TieredRewardCache::total_misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_misses_;
-}
-
-long long TieredRewardCache::total_evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_evictions_;
-}
-
 std::size_t TieredRewardCache::bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return bytes_;
-}
-
-std::size_t TieredRewardCache::live_entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return live_entries_;
 }
 
 void TieredRewardCache::ExportEntries(

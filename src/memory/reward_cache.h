@@ -41,11 +41,10 @@ namespace pafeat {
 // computes, later arrivals wait on the condition variable, re-probe, and
 // count as hits.
 //
-// Telemetry is double-booked: running totals (never reset; the historical
-// cache_hits/cache_misses contract) and a window drained by TakeTraffic at
-// serial points. Every resolution lands in exactly one window at the moment
-// it resolves, so a stampede waiter that wakes after an iteration boundary
-// is attributed to the iteration that drains it — never lost.
+// Telemetry is a window drained by TakeTraffic at serial points. Every
+// resolution lands in exactly one window at the moment it resolves, so a
+// stampede waiter that wakes after an iteration boundary is attributed to
+// the iteration that drains it — never lost.
 class TieredRewardCache {
  public:
   using Key = PackedMask;
@@ -80,13 +79,7 @@ class TieredRewardCache {
   // Drains the telemetry window (see class comment).
   MemoryTraffic TakeTraffic();
 
-  // Running totals.
-  long long total_hits() const;
-  long long total_misses() const;
-  long long total_evictions() const;
-
   std::size_t bytes() const;
-  std::size_t live_entries() const;
 
   // Persistence: exports every resident entry (slab in slot order, then
   // pending sorted by key), and imports an entry directly into the slab
@@ -129,9 +122,6 @@ class TieredRewardCache {
   std::size_t live_entries_ = 0;
   int publishes_since_sweep_ = 0;
   bool manual_epochs_ = false;
-  long long total_hits_ = 0;
-  long long total_misses_ = 0;
-  long long total_evictions_ = 0;
   MemoryTraffic window_;
 };
 

@@ -39,7 +39,6 @@ class LinearSvm {
                                    const std::vector<int>& rows) const;
 
   const std::vector<float>& weights() const { return weights_; }
-  float bias() const { return bias_; }
 
  private:
   LinearSvmConfig config_;

@@ -30,7 +30,6 @@ class LogisticRegression {
                                   const std::vector<int>& rows) const;
 
   const std::vector<float>& weights() const { return weights_; }
-  float bias() const { return bias_; }
 
  private:
   LogisticRegressionConfig config_;

@@ -142,6 +142,7 @@ std::vector<float> MaskedDnnClassifier::PredictBlock(
   return out;
 }
 
+// lint: allow(test-only-api): oracle for MaskedInferenceTest.ClassifierBlockFastMatchesReferenceBitwise
 std::vector<float> MaskedDnnClassifier::PredictBlockReference(
     const Matrix& block, const FeatureMask& mask) const {
   PF_CHECK(net_ != nullptr);

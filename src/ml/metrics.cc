@@ -32,14 +32,6 @@ double Recall(const ConfusionCounts& c) {
   return denom == 0 ? 0.0 : static_cast<double>(c.true_positive) / denom;
 }
 
-double Accuracy(const ConfusionCounts& c) {
-  const int total = c.true_positive + c.false_positive + c.true_negative +
-                    c.false_negative;
-  return total == 0
-             ? 0.0
-             : static_cast<double>(c.true_positive + c.true_negative) / total;
-}
-
 double F1Score(const std::vector<float>& scores,
                const std::vector<float>& labels) {
   const ConfusionCounts counts = ComputeConfusion(scores, labels);

@@ -18,7 +18,6 @@ ConfusionCounts ComputeConfusion(const std::vector<float>& scores,
 
 double Precision(const ConfusionCounts& counts);
 double Recall(const ConfusionCounts& counts);
-double Accuracy(const ConfusionCounts& counts);
 
 // F1 = harmonic mean of precision and recall at threshold 0.5 (the paper's
 // primary effectiveness metric). Returns 0 when precision + recall == 0.

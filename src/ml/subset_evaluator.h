@@ -54,12 +54,8 @@ class SubsetEvaluator {
 
   int num_features() const { return features_->cols(); }
 
-  // Running totals (never reset; the historical telemetry contract).
-  long long cache_hits() const { return cache_.total_hits(); }
-  long long cache_misses() const { return cache_.total_misses(); }
-  long long cache_evictions() const { return cache_.total_evictions(); }
+  // Resident bytes of the reward cache.
   std::size_t cache_bytes() const { return cache_.bytes(); }
-  std::size_t cache_entries() const { return cache_.live_entries(); }
 
   // Drains the per-iteration telemetry window: every hit/miss/eviction lands
   // in exactly one drain, attributed at resolve time — a stampede waiter

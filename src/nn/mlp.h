@@ -85,7 +85,6 @@ class Mlp {
   Matrix FirstLayerWeightTransposed() const;
 
   int num_layers() const { return static_cast<int>(layers_.size()); }
-  int layer_input_dim(int i) const { return layers_[i].weight.cols(); }
   int layer_output_dim(int i) const { return layers_[i].weight.rows(); }
 
   // Copies parameters from a same-architecture network.

@@ -52,7 +52,6 @@ class QuantizedDuelingNet {
 
   const DuelingNetConfig& config() const { return config_; }
   int feature_dim() const { return trunk_.back().out; }
-  int num_trunk_layers() const { return static_cast<int>(trunk_.size()); }
 
  private:
   // One linear layer, weights quantized per output row at construction.

@@ -42,6 +42,7 @@ class Tape {
   void Step();
 
   // Gradients of the last Backward, flat in parameter order.
+  // lint: allow(test-only-api): test hook for MlpTest.GradientMatchesFiniteDifference
   const std::vector<float>& grads() const { return grads_; }
 
   // Warm-resume persistence (checkpoint v3): the Adam step counter and the

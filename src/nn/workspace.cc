@@ -103,6 +103,7 @@ InferenceArena* InferenceArena::ThreadLocal() {
   return &arena;
 }
 
+// lint: allow(test-only-api): test hook for MaskedInferenceTest.ArenaStopsAllocatingOnceWarm
 std::size_t InferenceArena::capacity_floats() const {
   std::size_t total = 0;
   for (const Slab& slab : slabs_) total += slab.size;

@@ -49,6 +49,7 @@ class InferenceArena {
   // Observability for tests: total floats owned / number of slab
   // allocations ever made. Both must stabilize once inference is warm.
   std::size_t capacity_floats() const;
+  // lint: allow(test-only-api): test hook for MaskedInferenceTest.ArenaStopsAllocatingOnceWarm
   long long slab_allocations() const { return slab_allocations_; }
 
  private:

@@ -50,6 +50,7 @@ void DqnAgent::ActBatch(int rows, const float* observations,
   }
 }
 
+// lint: allow(test-only-api): oracle for BatchedInferenceTest.ActBatchMatchesGreedyActPerRow
 void DqnAgent::QValuesBatchInto(int rows, const float* observations,
                                 float* q_out) const {
   online_->PredictBatchInto(rows, observations, InferenceArena::ThreadLocal(),
@@ -125,25 +126,13 @@ double DqnAgent::TrainBatch(const std::vector<BatchItem>& batch) {
               batch[i].next_observation.end(), next_observations.Row(i));
   }
 
-  // TD targets from the frozen target network (Eqn 1b); with double_dqn the
-  // action is chosen by the online network and only evaluated by the target.
+  // TD targets from the frozen target network (Eqn 1b).
   const Matrix next_q = target_->Predict(next_observations);
-  Matrix online_next_q;
-  if (config_.double_dqn) online_next_q = online_->Predict(next_observations);
   std::vector<double> targets(batch_size);
   for (int i = 0; i < batch_size; ++i) {
-    double max_next;
-    if (config_.double_dqn) {
-      int best = 0;
-      for (int a = 1; a < num_actions; ++a) {
-        if (online_next_q.At(i, a) > online_next_q.At(i, best)) best = a;
-      }
-      max_next = next_q.At(i, best);
-    } else {
-      max_next = next_q.At(i, 0);
-      for (int a = 1; a < num_actions; ++a) {
-        max_next = std::max(max_next, static_cast<double>(next_q.At(i, a)));
-      }
+    double max_next = next_q.At(i, 0);
+    for (int a = 1; a < num_actions; ++a) {
+      max_next = std::max(max_next, static_cast<double>(next_q.At(i, a)));
     }
     if (config_.use_popart) {
       // The target network predicts normalized values; denormalize with the

@@ -23,10 +23,6 @@ struct DqnConfig {
   float epsilon_start = 1.0f;
   float epsilon_end = 0.05f;
   int epsilon_decay_steps = 2000;
-  // Double DQN (van Hasselt et al., 2016): bootstrap with
-  // Q_target(s', argmax_a Q_online(s', a)) instead of max_a Q_target(s', a),
-  // removing the maximization bias. An optional extension beyond the paper.
-  bool double_dqn = false;
   // PopArt baseline: per-task adaptive normalization of TD targets
   // (Hessel et al., 2019). Off for PA-FEAT itself.
   bool use_popart = false;
@@ -61,6 +57,7 @@ class DqnAgent {
   double TrainBatch(const std::vector<BatchItem>& batch);
 
   float CurrentEpsilon() const;
+  // lint: allow(test-only-api): test hook for FeatTest.IterationFillsBuffersAndTrains
   long long train_steps() const { return train_steps_; }
 
   DuelingNet& online_net() { return *online_; }

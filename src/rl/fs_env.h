@@ -44,6 +44,7 @@ class FeatureSelectionEnv {
   // Q-network generalize the select/deselect decision across tasks.
   int observation_dim() const { return 2 * num_features_ + 3; }
   double max_feature_ratio() const { return max_feature_ratio_; }
+  // lint: allow(test-only-api): test hook for FsEnvTest.MaxFeatureRatioCapsSelection
   int max_selectable() const { return max_selectable_; }
 
   // Returns to the default initial state (empty subset, position 0).
@@ -71,12 +72,6 @@ class FeatureSelectionEnv {
   // Performance P of the current subset (Eqn 2) — the quantity the E-Tree
   // and the ITS consume, independent of the reward mode.
   double current_performance() const { return current_performance_; }
-
-  const std::vector<float>& task_representation() const {
-    return task_representation_;
-  }
-  const SubsetEvaluator& evaluator() const { return *evaluator_; }
-  RewardMode reward_mode() const { return reward_mode_; }
 
  private:
   std::vector<float> task_representation_;

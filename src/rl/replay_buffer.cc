@@ -5,18 +5,6 @@
 #include "common/logging.h"
 
 namespace pafeat {
-namespace {
-
-ReplayConfig LegacyConfig(int capacity_transitions) {
-  ReplayConfig config;
-  config.capacity_transitions = capacity_transitions;
-  return config;
-}
-
-}  // namespace
-
-ReplayBuffer::ReplayBuffer(int capacity_transitions)
-    : ReplayBuffer(LegacyConfig(capacity_transitions)) {}
 
 ReplayBuffer::ReplayBuffer(const ReplayConfig& config) : config_(config) {
   PF_CHECK_GT(config.capacity_transitions, 0);

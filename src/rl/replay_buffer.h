@@ -38,7 +38,6 @@ struct ReplayConfig {
 // and destroyed on the thread that owns the buffer.
 class ReplayBuffer {
  public:
-  explicit ReplayBuffer(int capacity_transitions);
   explicit ReplayBuffer(const ReplayConfig& config);
 
   // RAII registration of a borrow window over the buffer's internal
@@ -102,6 +101,7 @@ class ReplayBuffer {
   void ForEachStored(
       const std::function<void(const Trajectory&, double priority)>& fn) const;
 
+  // lint: allow(test-only-api): test hook for ReplayBufferTest.StoresAndCounts
   int num_transitions() const { return num_transitions_; }
   int num_trajectories() const { return static_cast<int>(stored_.size()); }
   bool empty() const { return num_transitions_ == 0; }

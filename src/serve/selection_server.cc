@@ -73,6 +73,8 @@ std::unique_ptr<SelectionServer::NetBundle> SelectionServer::BuildBundle(
   if (!nets.has_value()) return nullptr;
   auto bundle = std::make_unique<NetBundle>();
   bundle->nets = std::move(*nets);
+  // ServeStep reads only the int8 twin of a quantized bundle.
+  if (bundle->nets.quantized != nullptr) bundle->nets.net.reset();
   bundle->max_feature_ratio = checkpoint.max_feature_ratio;
   bundle->num_features = (checkpoint.net_config.input_dim - 3) / 2;
   return bundle;
@@ -163,14 +165,6 @@ bool SelectionServer::PublishCheckpoint(const AgentCheckpoint& checkpoint,
   return true;
 }
 
-bool SelectionServer::PublishCheckpointFile(const std::string& path,
-                                            std::string* error) {
-  const std::optional<AgentCheckpoint> checkpoint =
-      LoadCheckpoint(path, error);
-  if (!checkpoint.has_value()) return false;
-  return PublishCheckpoint(*checkpoint, error);
-}
-
 void SelectionServer::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -200,16 +194,13 @@ double SelectionServer::max_feature_ratio() const {
   return current_->max_feature_ratio;
 }
 
-std::uint64_t SelectionServer::net_version() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return applied_seq_;
-}
-
+// lint: allow(test-only-api): test hook for SelectionServerTest.PausedQueueCoalescesIntoOneBatch
 void SelectionServer::PauseServingForTest() {
   std::lock_guard<std::mutex> lock(mutex_);
   paused_ = true;
 }
 
+// lint: allow(test-only-api): test hook for SelectionServerTest.PausedQueueCoalescesIntoOneBatch
 void SelectionServer::ResumeServingForTest() {
   std::lock_guard<std::mutex> lock(mutex_);
   paused_ = false;
@@ -363,9 +354,7 @@ void SelectionServer::CommitStepLocked(int width) {
     slot.done_at = now;
     slot.status = AdmissionStatus::kOk;
     slot.done = true;
-    stats_.queue_us_sum += MicrosBetween(slot.enqueued_at, slot.live_at);
     stats_.compute_us_sum += MicrosBetween(slot.live_at, now);
-    stats_.total_us_sum += MicrosBetween(slot.enqueued_at, now);
     ++stats_.completed;
     live_[finished_scratch_[f]] = -1;
   }

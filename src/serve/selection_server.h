@@ -80,9 +80,7 @@ struct ServerStats {
   int live_now = 0;    // mid-scan at this instant
   // hist[w] = steps whose coalesced batch held w requests (w <= max_batch).
   std::vector<std::uint64_t> batch_width_hist;
-  double queue_us_sum = 0.0;
   double compute_us_sum = 0.0;
-  double total_us_sum = 0.0;
 
   double MeanBatchWidth() const {
     return steps == 0 ? 0.0
@@ -144,11 +142,6 @@ class SelectionServer {
   bool PublishCheckpoint(const AgentCheckpoint& checkpoint,
                          std::string* error = nullptr);
 
-  // PublishCheckpoint from a saved file; load failures (missing file,
-  // truncation, future version...) are reported the same way.
-  bool PublishCheckpointFile(const std::string& path,
-                             std::string* error = nullptr);
-
   // Stops admission immediately (subsequent Selects return kShutdown),
   // lets live scans finish, rejects queued requests with kShutdown,
   // unblocks pending publishers with failure, and joins the serving
@@ -160,7 +153,6 @@ class SelectionServer {
   // Feature count of the network currently serving (changes on hot-swap).
   int num_features() const;
   double max_feature_ratio() const;
-  std::uint64_t net_version() const;
   bool quantized() const { return config_.serve.quantized; }
   const ServerConfig& config() const { return config_; }
 
@@ -172,8 +164,9 @@ class SelectionServer {
   void ResumeServingForTest();
 
  private:
-  // One serving network generation: the fp32 net, its optional int8 tier,
-  // and the checkpoint metadata requests fall back to.
+  // One serving network generation: the fp32 net or, for the int8 tier,
+  // only its quantized twin, and the checkpoint metadata requests fall
+  // back to.
   struct NetBundle {
     ServingNets nets;
     double max_feature_ratio = 0.5;

@@ -427,6 +427,7 @@ bool ParseSimdCapability(const char* name, SimdCapability* level) {
   return false;
 }
 
+// lint: allow(test-only-api): oracle for SimdDispatchTest.RowwiseAvx2AndAvx512AreBitIdentical
 bool GemmNTRowwiseAt(SimdCapability level, int m, int n, int p,
                      const float* a, int lda, const float* b, int ldb,
                      float* c, int ldc) {
@@ -451,6 +452,7 @@ bool GemmNTRowwiseAt(SimdCapability level, int m, int n, int p,
   }
 }
 
+// lint: allow(test-only-api): oracle for SimdDispatchTest.GatherAtEachLevelMatchesReference
 bool GemmGatherNNAt(SimdCapability level, int m, int n, const float* a,
                     int lda, const int* cols, int ncols, const float* b,
                     int ldb, float* c, int ldc) {
@@ -474,6 +476,7 @@ bool GemmGatherNNAt(SimdCapability level, int m, int n, const float* a,
   }
 }
 
+// lint: allow(test-only-api): oracle for SimdDispatchTest.Int8LevelsAreExactAndIdentical
 bool GemmInt8NTAt(SimdCapability level, int m, int n, int p,
                   const std::int8_t* a, int lda, const std::int8_t* b,
                   int ldb, std::int32_t* c, int ldc) {
@@ -497,6 +500,7 @@ bool GemmInt8NTAt(SimdCapability level, int m, int n, int p,
   }
 }
 
+// lint: allow(test-only-api): oracle for SimdDispatchTest.QuantizeRowsLevelsProduceIdenticalBytes
 bool QuantizeRowsInt8At(SimdCapability level, int rows, int n, const float* x,
                         int ldx, std::int8_t* q, int ldq, float* scales) {
   if (!SimdCapabilityAvailable(level)) return false;

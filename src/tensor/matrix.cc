@@ -1,6 +1,5 @@
 #include "tensor/matrix.h"
 
-#include <cmath>
 
 #include "common/logging.h"
 #include "tensor/kernels.h"
@@ -17,28 +16,9 @@ Matrix::Matrix(int rows, int cols, float fill)
 
 Matrix Matrix::Zeros(int rows, int cols) { return Matrix(rows, cols, 0.0f); }
 
-Matrix Matrix::Identity(int n) {
-  Matrix m(n, n);
-  for (int i = 0; i < n; ++i) m.At(i, i) = 1.0f;
-  return m;
-}
-
-Matrix Matrix::RandomUniform(int rows, int cols, float lo, float hi,
-                             Rng* rng) {
-  Matrix m(rows, cols);
-  for (float& v : m.data_) v = static_cast<float>(rng->Uniform(lo, hi));
-  return m;
-}
-
 Matrix Matrix::RandomNormal(int rows, int cols, float stddev, Rng* rng) {
   Matrix m(rows, cols);
   for (float& v : m.data_) v = static_cast<float>(rng->Normal(0.0, stddev));
-  return m;
-}
-
-Matrix Matrix::RowVector(const std::vector<float>& data) {
-  Matrix m(1, static_cast<int>(data.size()));
-  m.data_ = data;
   return m;
 }
 
@@ -75,32 +55,14 @@ const float* Matrix::Row(int r) const {
   return data_.data() + static_cast<size_t>(r) * cols_;
 }
 
-void Matrix::Fill(float value) {
-  for (float& v : data_) v = value;
-}
-
 void Matrix::Add(const Matrix& other) {
   PF_CHECK(SameShape(other));
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-void Matrix::Sub(const Matrix& other) {
-  PF_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-}
-
-void Matrix::Scale(float scalar) {
-  for (float& v : data_) v *= scalar;
-}
-
 void Matrix::Axpy(float scalar, const Matrix& other) {
   PF_CHECK(SameShape(other));
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += scalar * other.data_[i];
-}
-
-void Matrix::MulElementwise(const Matrix& other) {
-  PF_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
 }
 
 // The three product forms delegate to the blocked/vectorized kernel layer
@@ -137,39 +99,6 @@ Matrix Matrix::Transposed() const {
     for (int c = 0; c < cols_; ++c) out.At(c, r) = At(r, c);
   }
   return out;
-}
-
-Matrix Matrix::ColSums() const {
-  Matrix out(1, cols_);
-  for (int r = 0; r < rows_; ++r) {
-    const float* row = Row(r);
-    for (int c = 0; c < cols_; ++c) out.data_[c] += row[c];
-  }
-  return out;
-}
-
-double Matrix::Sum() const {
-  double total = 0.0;
-  for (float v : data_) total += v;
-  return total;
-}
-
-double Matrix::Mean() const { return size() == 0 ? 0.0 : Sum() / size(); }
-
-double Matrix::SquaredNorm() const {
-  double total = 0.0;
-  for (float v : data_) total += static_cast<double>(v) * v;
-  return total;
-}
-
-int Matrix::ArgMaxRow(int r) const {
-  PF_CHECK_GT(cols_, 0);
-  const float* row = Row(r);
-  int best = 0;
-  for (int c = 1; c < cols_; ++c) {
-    if (row[c] > row[best]) best = c;
-  }
-  return best;
 }
 
 Matrix Matrix::SelectRows(const std::vector<int>& indices) const {

@@ -20,14 +20,8 @@ class Matrix {
   Matrix(int rows, int cols, float fill);
 
   static Matrix Zeros(int rows, int cols);
-  static Matrix Identity(int n);
-  // Entries drawn i.i.d. uniform in [lo, hi).
-  static Matrix RandomUniform(int rows, int cols, float lo, float hi,
-                              Rng* rng);
   // Entries drawn i.i.d. N(0, stddev^2).
   static Matrix RandomNormal(int rows, int cols, float stddev, Rng* rng);
-  // Builds a 1 x n row vector from data.
-  static Matrix RowVector(const std::vector<float>& data);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
@@ -42,18 +36,10 @@ class Matrix {
   float* Row(int r);
   const float* Row(int r) const;
 
-  void Fill(float value);
-
   // this = this + other (elementwise). Shapes must match.
   void Add(const Matrix& other);
-  // this = this - other.
-  void Sub(const Matrix& other);
-  // this = this * scalar.
-  void Scale(float scalar);
   // this = this + scalar * other (axpy).
   void Axpy(float scalar, const Matrix& other);
-  // Elementwise product (Hadamard).
-  void MulElementwise(const Matrix& other);
 
   // Returns this * other. Inner dimensions must agree.
   Matrix MatMul(const Matrix& other) const;
@@ -63,19 +49,6 @@ class Matrix {
   Matrix MatMulTransposed(const Matrix& other) const;
 
   Matrix Transposed() const;
-
-  // Column sums as a 1 x cols matrix.
-  Matrix ColSums() const;
-
-  // Sum of all entries.
-  double Sum() const;
-  // Mean of all entries.
-  double Mean() const;
-  // Squared Frobenius norm.
-  double SquaredNorm() const;
-
-  // Index of the maximum entry of row r.
-  int ArgMaxRow(int r) const;
 
   // Returns the given rows, in order, as a new matrix.
   Matrix SelectRows(const std::vector<int>& indices) const;

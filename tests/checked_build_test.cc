@@ -91,7 +91,7 @@ TEST(CheckedBuildDeathTest, ReplayBufferAddWhileBorrowedAsserts) {
   // SampleTransitions hands out raw pointers into the trajectory deque;
   // AddTrajectory may evict their pointees, so adding inside a registered
   // borrow window is a contract violation the checked build catches.
-  ReplayBuffer buffer(4);
+  ReplayBuffer buffer(ReplayConfig{4});
   Trajectory trajectory;
   Transition transition;
   transition.state.mask = {0, 0};

@@ -324,17 +324,6 @@ TEST(MultiRunTest, SingleRunHasZeroStddev) {
   EXPECT_DOUBLE_EQ(statistics.stddev, 0.0);
 }
 
-TEST(MultiRunTest, RepeatRunsPassesDistinctSeeds) {
-  std::vector<uint64_t> seeds;
-  const RunStatistics statistics =
-      RepeatRuns(3, 100, [&](uint64_t seed) {
-        seeds.push_back(seed);
-        return static_cast<double>(seed);
-      });
-  EXPECT_EQ(seeds, (std::vector<uint64_t>{100, 101, 102}));
-  EXPECT_DOUBLE_EQ(statistics.mean, 101.0);
-}
-
 TEST(MultiRunTest, FormatMeanStd) {
   RunStatistics statistics;
   statistics.mean = 0.73125;

@@ -215,9 +215,9 @@ TEST(ConcurrencyStressTest, SubsetEvaluatorStampedeStress) {
     }
     if (!seen) unique_keys.push_back(key);
   }
-  EXPECT_EQ(evaluator.cache_misses(),
-            static_cast<long long>(unique_keys.size()));
-  EXPECT_EQ(evaluator.cache_hits() + evaluator.cache_misses(),
+  const MemoryTraffic traffic = evaluator.TakeCacheTraffic();
+  EXPECT_EQ(traffic.misses, static_cast<long long>(unique_keys.size()));
+  EXPECT_EQ(traffic.hits + traffic.misses,
             static_cast<long long>(kThreads) * kRounds * kMasks);
 
   // Cross-thread agreement, and agreement with a fresh uncached evaluation.

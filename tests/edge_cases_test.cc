@@ -44,16 +44,6 @@ TEST(EdgeCaseTest, FeatWithAbsoluteRewardsTrains) {
   EXPECT_GE(MaskCount(mask), 1);
 }
 
-TEST(EdgeCaseTest, FeatWithDoubleDqnTrains) {
-  const SyntheticDataset dataset = TinyDataset(205);
-  FsProblem problem(dataset.table, DefaultProblemConfig(true), 206);
-  FeatConfig config = DefaultFeatOptions(10, 207).feat;
-  config.dqn.double_dqn = true;
-  Feat feat(&problem, dataset.SeenTaskIndices(), config);
-  feat.Train(10);
-  EXPECT_GT(feat.agent().train_steps(), 0);
-}
-
 TEST(EdgeCaseTest, CheckpointRoundTripsPopArtArchitecture) {
   const SyntheticDataset dataset = TinyDataset(209);
   FsProblem problem(dataset.table, DefaultProblemConfig(true), 210);

@@ -58,7 +58,7 @@ TEST(ConjugateGradientTest, SolvesRandomSpdSystem) {
   const Matrix g = Matrix::RandomNormal(n, n, 1.0f, &rng);
   // A = G^T G + I is SPD.
   Matrix a = g.TransposedMatMul(g);
-  a.Add(Matrix::Identity(n));
+  for (int i = 0; i < n; ++i) a.At(i, i) += 1.0f;
   auto apply = [&](const std::vector<float>& v) {
     std::vector<float> out(n, 0.0f);
     for (int i = 0; i < n; ++i) {

@@ -204,8 +204,9 @@ TEST(MaskedInferenceTest, EvaluatorUncachedMatchesReward) {
   const double uncached = evaluator.EvaluateUncached(mask);
   EXPECT_EQ(evaluator.Reward(mask), uncached);
   EXPECT_EQ(evaluator.Reward(mask), uncached);  // cached second time
-  EXPECT_EQ(evaluator.cache_misses(), 1);
-  EXPECT_EQ(evaluator.cache_hits(), 1);
+  const MemoryTraffic traffic = evaluator.TakeCacheTraffic();
+  EXPECT_EQ(traffic.misses, 1);
+  EXPECT_EQ(traffic.hits, 1);
 }
 
 TEST(MaskedInferenceTest, ConcurrentMissesOnSameMaskComputeOnce) {
@@ -236,8 +237,9 @@ TEST(MaskedInferenceTest, ConcurrentMissesOnSameMaskComputeOnce) {
   for (std::thread& thread : threads) thread.join();
 
   // Exactly one thread computed; everyone else waited and read the cache.
-  EXPECT_EQ(evaluator.cache_misses(), 1);
-  EXPECT_EQ(evaluator.cache_hits(), kThreads - 1);
+  const MemoryTraffic traffic = evaluator.TakeCacheTraffic();
+  EXPECT_EQ(traffic.misses, 1);
+  EXPECT_EQ(traffic.hits, kThreads - 1);
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(rewards[t], rewards[0]);
 }
 

@@ -38,15 +38,15 @@ TEST(MatrixTest, ConstructionAndFill) {
   EXPECT_EQ(m.cols(), 3);
   EXPECT_EQ(m.size(), 6);
   EXPECT_FLOAT_EQ(m.At(1, 2), 1.5f);
-  m.Fill(-2.0f);
-  EXPECT_FLOAT_EQ(m.At(0, 0), -2.0f);
 }
 
 TEST(MatrixTest, IdentityMultiplicationIsNoOp) {
   Rng rng(3);
   const Matrix a = Matrix::RandomNormal(4, 4, 1.0f, &rng);
-  ExpectNear(a.MatMul(Matrix::Identity(4)), a);
-  ExpectNear(Matrix::Identity(4).MatMul(a), a);
+  Matrix identity(4, 4);
+  for (int i = 0; i < 4; ++i) identity.At(i, i) = 1.0f;
+  ExpectNear(a.MatMul(identity), a);
+  ExpectNear(identity.MatMul(a), a);
 }
 
 TEST(MatrixTest, ElementwiseOps) {
@@ -54,14 +54,8 @@ TEST(MatrixTest, ElementwiseOps) {
   Matrix b(2, 2, 3.0f);
   a.Add(b);
   EXPECT_FLOAT_EQ(a.At(0, 0), 5.0f);
-  a.Sub(b);
-  EXPECT_FLOAT_EQ(a.At(1, 1), 2.0f);
-  a.Scale(4.0f);
-  EXPECT_FLOAT_EQ(a.At(0, 1), 8.0f);
   a.Axpy(0.5f, b);
-  EXPECT_FLOAT_EQ(a.At(0, 0), 9.5f);
-  a.MulElementwise(b);
-  EXPECT_FLOAT_EQ(a.At(1, 0), 28.5f);
+  EXPECT_FLOAT_EQ(a.At(1, 1), 6.5f);
 }
 
 TEST(MatrixTest, TransposeInvolution) {
@@ -71,29 +65,6 @@ TEST(MatrixTest, TransposeInvolution) {
   EXPECT_EQ(a.Transposed().rows(), 5);
   EXPECT_EQ(a.Transposed().cols(), 3);
   EXPECT_FLOAT_EQ(a.Transposed().At(4, 2), a.At(2, 4));
-}
-
-TEST(MatrixTest, ColSumsAndReductions) {
-  Matrix m(2, 2);
-  m.At(0, 0) = 1.0f;
-  m.At(0, 1) = 2.0f;
-  m.At(1, 0) = 3.0f;
-  m.At(1, 1) = 4.0f;
-  const Matrix sums = m.ColSums();
-  EXPECT_FLOAT_EQ(sums.At(0, 0), 4.0f);
-  EXPECT_FLOAT_EQ(sums.At(0, 1), 6.0f);
-  EXPECT_DOUBLE_EQ(m.Sum(), 10.0);
-  EXPECT_DOUBLE_EQ(m.Mean(), 2.5);
-  EXPECT_DOUBLE_EQ(m.SquaredNorm(), 30.0);
-}
-
-TEST(MatrixTest, ArgMaxRow) {
-  Matrix m(1, 4);
-  m.At(0, 0) = -1.0f;
-  m.At(0, 1) = 5.0f;
-  m.At(0, 2) = 2.0f;
-  m.At(0, 3) = 5.0f;  // tie: first wins
-  EXPECT_EQ(m.ArgMaxRow(0), 1);
 }
 
 TEST(MatrixTest, SelectRowsAndCols) {
@@ -108,15 +79,6 @@ TEST(MatrixTest, SelectRowsAndCols) {
   const Matrix cols = m.SelectCols({1});
   EXPECT_EQ(cols.cols(), 1);
   EXPECT_FLOAT_EQ(cols.At(2, 0), 21.0f);
-}
-
-TEST(MatrixTest, RandomUniformBounds) {
-  Rng rng(9);
-  const Matrix m = Matrix::RandomUniform(10, 10, -1.0f, 1.0f, &rng);
-  for (int i = 0; i < m.size(); ++i) {
-    EXPECT_GE(m.data()[i], -1.0f);
-    EXPECT_LT(m.data()[i], 1.0f);
-  }
 }
 
 TEST(MatrixDeathTest, ShapeMismatchDies) {

@@ -56,10 +56,7 @@ TEST(TieredRewardCacheTest, HitMissAndWindowedTraffic) {
             TieredRewardCache::Probe::kHit);
   EXPECT_EQ(value, 0.25);
 
-  EXPECT_EQ(cache.total_misses(), 1);
-  EXPECT_EQ(cache.total_hits(), 1);
-
-  // The window drains exactly once; running totals persist.
+  // The window drains exactly once.
   const MemoryTraffic window = cache.TakeTraffic();
   EXPECT_EQ(window.misses, 1);
   EXPECT_EQ(window.hits, 1);
@@ -67,8 +64,6 @@ TEST(TieredRewardCacheTest, HitMissAndWindowedTraffic) {
   const MemoryTraffic empty = cache.TakeTraffic();
   EXPECT_EQ(empty.misses, 0);
   EXPECT_EQ(empty.hits, 0);
-  EXPECT_EQ(cache.total_misses(), 1);
-  EXPECT_EQ(cache.total_hits(), 1);
 }
 
 TEST(TieredRewardCacheTest, SweepEnforcesBudgetAfterHotProtectionExpires) {
@@ -81,11 +76,11 @@ TEST(TieredRewardCacheTest, SweepEnforcesBudgetAfterHotProtectionExpires) {
   // Everything published this epoch is hot: the closing sweep may overshoot
   // the budget rather than evict values the running iteration produced.
   cache.AdvanceEpoch();
-  EXPECT_EQ(cache.live_entries(), 6u);
+  EXPECT_EQ(cache.bytes(), 6 * entry);
   // One epoch later the entries are cold and the sweep fits the budget.
   cache.AdvanceEpoch();
   EXPECT_LE(cache.bytes(), 2 * entry);
-  EXPECT_GT(cache.total_evictions(), 0);
+  EXPECT_GT(cache.TakeTraffic().evictions, 0);
 }
 
 TEST(TieredRewardCacheTest, TouchedEntriesSurviveTheSweep) {
@@ -146,7 +141,8 @@ TEST(TieredRewardCacheTest, EvictionIsInsensitiveToPublishOrder) {
     }
     forward.AdvanceEpoch();
     backward.AdvanceEpoch();
-    EXPECT_EQ(forward.total_evictions(), backward.total_evictions())
+    EXPECT_EQ(forward.TakeTraffic().evictions,
+              backward.TakeTraffic().evictions)
         << "epoch " << epoch;
   }
 
@@ -165,8 +161,8 @@ TEST(TieredRewardCacheTest, UnboundedCacheNeverEvicts) {
   }
   cache.AdvanceEpoch();
   cache.AdvanceEpoch();
-  EXPECT_EQ(cache.live_entries(), 200u);
-  EXPECT_EQ(cache.total_evictions(), 0);
+  EXPECT_EQ(cache.bytes(), 200 * OneEntryBytes());
+  EXPECT_EQ(cache.TakeTraffic().evictions, 0);
 }
 
 TEST(TieredRewardCacheTest, ImportBypassesTrafficAndDuplicates) {
@@ -182,7 +178,7 @@ TEST(TieredRewardCacheTest, ImportBypassesTrafficAndDuplicates) {
   EXPECT_EQ(cache.AcquireOrWait(Key(11), &value),
             TieredRewardCache::Probe::kHit);
   EXPECT_EQ(value, 0.75);
-  EXPECT_EQ(cache.live_entries(), 1u);
+  EXPECT_EQ(cache.bytes(), OneEntryBytes());
 }
 
 Trajectory MakeTrajectory(int transitions, double episode_return,

@@ -15,7 +15,6 @@ TEST(ConfusionTest, CountsAllQuadrants) {
   EXPECT_EQ(c.true_negative, 1);
   EXPECT_DOUBLE_EQ(Precision(c), 0.5);
   EXPECT_DOUBLE_EQ(Recall(c), 0.5);
-  EXPECT_DOUBLE_EQ(Accuracy(c), 0.5);
 }
 
 TEST(F1Test, PerfectPrediction) {

@@ -161,13 +161,16 @@ TEST(SubsetEvaluatorTest, CachesRepeatedSubsets) {
                             &classifier);
   const FeatureMask mask = {1, 0, 1};
   const double first = evaluator.Reward(mask);
-  EXPECT_EQ(evaluator.cache_misses(), 1);
-  EXPECT_EQ(evaluator.cache_hits(), 0);
+  MemoryTraffic traffic = evaluator.TakeCacheTraffic();
+  EXPECT_EQ(traffic.misses, 1);
+  EXPECT_EQ(traffic.hits, 0);
   const double second = evaluator.Reward(mask);
-  EXPECT_EQ(evaluator.cache_hits(), 1);
+  traffic = evaluator.TakeCacheTraffic();
+  EXPECT_EQ(traffic.hits, 1);
+  EXPECT_EQ(traffic.misses, 0);
   EXPECT_DOUBLE_EQ(first, second);
   evaluator.Reward({0, 1, 1});
-  EXPECT_EQ(evaluator.cache_misses(), 2);
+  EXPECT_EQ(evaluator.TakeCacheTraffic().misses, 1);
 }
 
 TEST(SubsetEvaluatorTest, FullFeatureRewardMatchesAllOnesMask) {

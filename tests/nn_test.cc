@@ -202,7 +202,10 @@ TEST(OptimizerTest, AdamConvergesOnQuadratic) {
   config.output_dim = 3;
   Mlp net(config, nullptr);
   ASSERT_TRUE(net.DeserializeParams({0.0f, 0.0f, 0.0f, 4.0f, 4.0f, 4.0f}));
-  const Matrix target = Matrix::RowVector({1.0f, -2.0f, 0.5f});
+  Matrix target(1, 3);
+  target.At(0, 0) = 1.0f;
+  target.At(0, 1) = -2.0f;
+  target.At(0, 2) = 0.5f;
   const float zero_input = 0.0f;
   Tape tape(&net, 0.1f);
   for (int step = 0; step < 500; ++step) {

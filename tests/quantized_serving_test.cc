@@ -358,7 +358,7 @@ TEST(QuantizedTierScreenTest, QuantizedPublishOfTooDeepNetworkIsRejected) {
   EXPECT_FALSE(server.PublishCheckpoint(TooDeepForInt8Checkpoint(), &error));
   EXPECT_NE(error.find("int8 tier"), std::string::npos) << error;
   // The server keeps serving the network it had.
-  EXPECT_EQ(server.net_version(), 1u);
+  EXPECT_EQ(server.Stats().net_version, 1u);
   EXPECT_EQ(server.num_features(), 8);
   const std::vector<float> repr(8, 0.5f);
   EXPECT_EQ(server.Select(repr).status, AdmissionStatus::kOk);

@@ -279,7 +279,7 @@ TEST(SelectionServerTest, HotSwapServesNewCheckpointAfterPublish) {
   // Publish blocks until the swap applies, so the very next Select must
   // already serve v2 — including its new default ratio.
   ASSERT_TRUE(server.PublishCheckpoint(v2));
-  EXPECT_EQ(server.net_version(), 2u);
+  EXPECT_EQ(server.Stats().net_version, 2u);
   EXPECT_DOUBLE_EQ(server.max_feature_ratio(), 0.3);
   const SelectionResponse after = server.Select(repr);
   ASSERT_EQ(after.status, AdmissionStatus::kOk);
@@ -328,7 +328,7 @@ TEST(SelectionServerTest, InFlightRequestFinishesOnOldNetAcrossSwap) {
   ASSERT_EQ(response.status, AdmissionStatus::kOk);
   EXPECT_EQ(response.stats.net_version, 1u);
   EXPECT_EQ(response.mask, selector_v1.SelectForRepresentation(repr));
-  EXPECT_EQ(server.net_version(), 2u);
+  EXPECT_EQ(server.Stats().net_version, 2u);
   EXPECT_EQ(server.Stats().swaps_applied, 1u);
 }
 
@@ -343,14 +343,8 @@ TEST(SelectionServerTest, PublishRejectsBadCheckpointAndBadFile) {
   EXPECT_NE(error.find("does not fit the architecture"), std::string::npos)
       << error;
 
-  error.clear();
-  EXPECT_FALSE(server.PublishCheckpointFile("/nonexistent/agent.ckpt",
-                                            &error));
-  EXPECT_NE(error.find("cannot open checkpoint file"), std::string::npos)
-      << error;
-
   // The serving state is untouched by rejected publishes.
-  EXPECT_EQ(server.net_version(), 1u);
+  EXPECT_EQ(server.Stats().net_version, 1u);
   EXPECT_EQ(server.Stats().swaps_applied, 0u);
   const std::vector<float> repr = MakeRepresentation(12, 5);
   EXPECT_EQ(server.Select(repr).status, AdmissionStatus::kOk);
@@ -363,8 +357,10 @@ TEST(SelectionServerTest, PublishFromFileServes) {
   ASSERT_TRUE(SaveCheckpoint(v2, path));
 
   SelectionServer server(v1);
-  ASSERT_TRUE(server.PublishCheckpointFile(path));
-  EXPECT_EQ(server.net_version(), 2u);
+  const std::optional<AgentCheckpoint> loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_TRUE(server.PublishCheckpoint(*loaded));
+  EXPECT_EQ(server.Stats().net_version, 2u);
   const CheckpointedSelector selector_v2(v2);
   const std::vector<float> repr = MakeRepresentation(12, 6);
   const SelectionResponse response = server.Select(repr);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -235,6 +236,7 @@ struct BlobLayout {
   std::size_t recent_return_count = 0;  // first task's
   std::size_t transition_count = 0;     // first stored trajectory's
   std::size_t transition = 0;           // first stored transition
+  std::size_t cache_value = 0;          // first reward-cache entry's value
   std::size_t etree_node_count = 0;     // first task's E-Tree
 };
 
@@ -277,6 +279,9 @@ BlobLayout WalkBlob(const std::vector<std::uint8_t>& blob) {
     }
     const std::uint32_t entries = in.U32();
     const std::uint32_t words = in.U32();
+    if (layout.cache_value == 0 && entries > 0) {
+      layout.cache_value = offset() + words * sizeof(std::uint64_t);
+    }
     skip(std::size_t{entries} * (words * sizeof(std::uint64_t) +
                                  sizeof(double)));
   }
@@ -311,6 +316,66 @@ TEST_F(WarmResumeTest, RestoreRejectsOutOfRangeTransitions) {
   error.clear();
   EXPECT_FALSE(RestoreIntoFreshInstance(patched(action_offset, 7), &error));
   EXPECT_FALSE(error.empty());
+}
+
+// Non-finite stored values would resume training on NaN TD targets or serve
+// NaN rewards from the memo: restore rejects each with a reason.
+TEST_F(WarmResumeTest, RestoreRejectsNonFiniteValues) {
+  PaFeat pafeat(&problem_a_, dataset_.SeenTaskIndices(), ResumeConfig());
+  pafeat.Train(3);
+  const std::vector<std::uint8_t> blob = pafeat.SerializeTrainingState();
+  const BlobLayout layout = WalkBlob(blob);
+  ASSERT_GT(layout.transition, 0u) << "no stored transition to corrupt";
+  ASSERT_GT(pafeat.feat().task_runtime(0).recent_returns.size(), 0u);
+  std::string error;
+  ASSERT_TRUE(RestoreIntoFreshInstance(blob, &error)) << error;
+
+  const std::size_t num_features = dataset_.table.num_features();
+  // Transition layout: I32 position, mask, I32 next position, mask,
+  // I32 action, F32 reward, U8 done.
+  const std::size_t reward_offset =
+      layout.transition + 2 * (sizeof(std::int32_t) + num_features) +
+      sizeof(std::int32_t);
+  const auto patched = [&](std::size_t offset, auto value) {
+    std::vector<std::uint8_t> bytes = blob;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const float nan_f = std::numeric_limits<float>::quiet_NaN();
+  const double nan_d = std::numeric_limits<double>::quiet_NaN();
+  const double inf_d = std::numeric_limits<double>::infinity();
+
+  EXPECT_FALSE(RestoreIntoFreshInstance(patched(reward_offset, nan_f),
+                                        &error));
+  EXPECT_NE(error.find("non-finite replay reward"), std::string::npos)
+      << error;
+  EXPECT_FALSE(RestoreIntoFreshInstance(
+      patched(reward_offset, std::numeric_limits<float>::infinity()),
+      &error));
+  EXPECT_NE(error.find("non-finite replay reward"), std::string::npos)
+      << error;
+  // The trajectory's priority and return precede its transition count.
+  EXPECT_FALSE(RestoreIntoFreshInstance(
+      patched(layout.transition_count - 2 * sizeof(double), nan_d), &error));
+  EXPECT_NE(error.find("non-finite replay priority or return"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(RestoreIntoFreshInstance(
+      patched(layout.transition_count - sizeof(double), inf_d), &error));
+  EXPECT_NE(error.find("non-finite replay priority or return"),
+            std::string::npos)
+      << error;
+  // The first recent return follows its count.
+  EXPECT_FALSE(RestoreIntoFreshInstance(
+      patched(layout.recent_return_count + sizeof(std::uint32_t), nan_d),
+      &error));
+  EXPECT_NE(error.find("non-finite recent return"), std::string::npos)
+      << error;
+  ASSERT_GT(layout.cache_value, 0u) << "no reward-cache entry to corrupt";
+  EXPECT_FALSE(
+      RestoreIntoFreshInstance(patched(layout.cache_value, nan_d), &error));
+  EXPECT_NE(error.find("non-finite reward-cache value"), std::string::npos)
+      << error;
 }
 
 // Hostile counts: each patched count asks for far more records than the

@@ -12,6 +12,7 @@ constexpr char kRngEscape[] = "rng-escape";
 constexpr char kBorrow[] = "borrow-across-mutation";
 constexpr char kHotPathAlloc[] = "hot-path-alloc";
 constexpr char kPoolReentrancy[] = "pool-reentrancy";
+constexpr char kTestOnlyApi[] = "test-only-api";
 
 constexpr char kHotPathRootAnnotation[] = "hot-path-root";
 
@@ -272,19 +273,56 @@ void CheckPoolReentrancy(const Program& p, const Graph& g,
   }
 }
 
+// --- test-only-api ---------------------------------------------------------
+
+// The two reasons a src/ function may stay without a production use: it is
+// the reference a named test compares a fast path against, or a hook a
+// named test drives.
+bool AllowedTestOnlyReason(const std::string& justification) {
+  return justification.rfind("oracle for ", 0) == 0 ||
+         justification.rfind("test hook for ", 0) == 0;
+}
+
+void CheckTestOnlyApi(const Program& p, std::vector<Finding>* findings) {
+  const std::size_t n = p.defs.size();
+  std::vector<char> used(n, 0), test_used(n, 0);
+  for (const NameRef& ref : p.refs) {
+    std::vector<char>& mark = ref.role == FileRole::kTest ? test_used : used;
+    for (int def : p.ResolveRef(ref)) {
+      if (def != ref.from_def) mark[def] = 1;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const FunctionDef& def = p.defs[i];
+    // Constructors and destructors are used wherever their type is named,
+    // and operators are used without their name.
+    if (used[i] || def.is_lambda || def.name == "operator" ||
+        def.name == def.class_name || p.class_names.count(def.name) > 0) {
+      continue;
+    }
+    Report(p, findings, def.file, def.line, kTestOnlyApi,
+           def.display + (test_used[i] ? " is used only from tests/"
+                                       : " has no caller"),
+           "no code in src/, tools/, examples/, bench/ or bench_e2e/ names "
+           "it; delete it, or keep a reference oracle or test hook with "
+           "// lint: allow(test-only-api): oracle for <Suite.Test> | "
+           "test hook for <Suite.Test>");
+  }
+}
+
 // --- pragma application ----------------------------------------------------
 
-bool Suppressed(const Program& p, const Finding& f) {
+const Pragma* MatchingPragma(const Program& p, const Finding& f) {
   auto it = p.file_pragmas.find(f.file);
-  if (it == p.file_pragmas.end()) return false;
+  if (it == p.file_pragmas.end()) return nullptr;
   for (const Pragma& pragma : it->second.pragmas) {
     if (pragma.rule != f.rule) continue;
     if (pragma.line == f.line ||
         (pragma.standalone && pragma.line + 1 == f.line)) {
-      return true;
+      return &pragma;
     }
   }
-  return false;
+  return nullptr;
 }
 
 }  // namespace
@@ -296,6 +334,7 @@ std::vector<Finding> RunAnalyzeRules(const Program& program) {
   CheckBorrowAcrossMutation(program, g, &findings);
   CheckHotPathAlloc(program, g, &findings);
   CheckPoolReentrancy(program, g, &findings);
+  CheckTestOnlyApi(program, &findings);
 
   // One finding per (file, line, rule): a site reachable from several roots
   // is still one thing to fix.
@@ -305,7 +344,14 @@ std::vector<Finding> RunAnalyzeRules(const Program& program) {
     const std::string key = f.file + ":" + std::to_string(f.line) + ":" +
                             f.rule;
     if (!seen.insert(key).second) continue;
-    if (Suppressed(program, f)) continue;
+    if (const Pragma* pragma = MatchingPragma(program, f)) {
+      if (f.rule != kTestOnlyApi ||
+          AllowedTestOnlyReason(pragma->justification)) {
+        continue;
+      }
+      f.message = "test-only-api pragma gives neither allowed reason: " +
+                  f.message;
+    }
     kept.push_back(std::move(f));
   }
   std::sort(kept.begin(), kept.end(), [](const Finding& a, const Finding& b) {

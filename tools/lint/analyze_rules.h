@@ -8,7 +8,7 @@
 
 namespace pafeat_lint {
 
-// Runs the four semantic reachability rules over a finalized Program:
+// Runs the five semantic rules over a finalized Program:
 //
 //   rng-escape              no function reachable from a ParallelFor/Submit
 //                           body touches a root-annotated Rng member; only
@@ -22,6 +22,11 @@ namespace pafeat_lint {
 //                           parallel body (nested submission runs inline;
 //                           the blessed shard fan-out idiom carries a
 //                           justified pragma instead of a code change)
+//   test-only-api           every function defined under src/ is named by
+//                           code outside tests/ (constructors, destructors,
+//                           operators and lambdas aside); a kept reference
+//                           oracle or test hook carries a pragma whose reason
+//                           starts "oracle for " or "test hook for "
 //
 // `lint: allow(<rule>): <why>` pragmas recorded in Program::file_pragmas are
 // applied with the same same-line / standalone-line-above semantics as the

@@ -40,6 +40,57 @@ bool EndsWithUnderscore(const std::string& s) {
   return !s.empty() && s.back() == '_';
 }
 
+bool TextIs(const std::vector<Token>& toks, std::size_t i, const char* s) {
+  return i < toks.size() && toks[i].text == s;
+}
+
+// True when the '&' at `amp` takes an address rather than declaring a
+// reference or and-ing two values.
+bool UnaryAmpersand(const std::vector<Token>& toks, std::size_t amp) {
+  if (amp == 0) return true;
+  const Token& p = toks[amp - 1];
+  if (p.kind == TokKind::kIdentifier) return p.text == "return";
+  return p.text == "(" || p.text == "," || p.text == "=" || p.text == "{" ||
+         p.text == "?" || p.text == ":";
+}
+
+// True when `f<...>(` starts at `i` (the identifier).
+bool TemplateCall(const std::vector<Token>& toks, std::size_t i) {
+  if (!TextIs(toks, i + 1, "<")) return false;
+  int depth = 0;
+  for (std::size_t k = i + 1; k < toks.size() && k < i + 64; ++k) {
+    const std::string& s = toks[k].text;
+    if (s == ";" || s == "{" || s == "}") return false;
+    if (s == "<") ++depth;
+    if (s == ">" && --depth == 0) return TextIs(toks, k + 1, "(");
+  }
+  return false;
+}
+
+// Decides whether the identifier at `i` references a function by name (see
+// NameRef) and fills the name, qualifier and member fields if so.
+bool RefAt(const std::vector<Token>& toks, std::size_t i, NameRef* ref) {
+  const Token& t = toks[i];
+  if (t.kind != TokKind::kIdentifier || IsStmtKeyword(t.text) ||
+      t.text == "operator") {
+    return false;
+  }
+  const bool qualified = i >= 1 && TextIs(toks, i - 1, "::");
+  const bool address =
+      i >= 1 && TextIs(toks, i - 1, "&") && UnaryAmpersand(toks, i - 1);
+  if (!qualified && !address && !TextIs(toks, i + 1, "(") &&
+      !TemplateCall(toks, i)) {
+    return false;
+  }
+  ref->name = t.text;
+  ref->member =
+      i >= 1 && (TextIs(toks, i - 1, ".") || TextIs(toks, i - 1, "->"));
+  if (qualified && i >= 2 && toks[i - 2].kind == TokKind::kIdentifier) {
+    ref->qualifier = toks[i - 2].text;
+  }
+  return true;
+}
+
 struct ClassRange {
   std::string name;
   int first_line = 0;
@@ -60,6 +111,7 @@ class FileIndexer {
   void Run() {
     ParseDeclSeq(0, toks_.size(), /*class_name=*/"");
     AttachRootRngMembers();
+    RecordMacroRefs();
   }
 
  private:
@@ -140,7 +192,26 @@ class FileIndexer {
         i = MaybeFunctionDef(i, end, class_name);
         continue;
       }
+      if (s == "=" && i > begin &&
+          ((IsIdent(i - 1) && Text(i - 1) != "operator") || Is(i - 1, "]"))) {
+        RecordInitializerRefs(i + 1, end, class_name);
+      }
       ++i;
+    }
+  }
+
+  // Name references in a namespace- or class-scope initializer (`= expr;`),
+  // such as a table of function pointers. Records only; the declaration
+  // walk still visits these tokens as before.
+  void RecordInitializerRefs(std::size_t i, std::size_t end,
+                             const std::string& class_name) {
+    int depth = 0;
+    for (; i < end; ++i) {
+      const std::string& s = Text(i);
+      if (s == "(" || s == "{" || s == "[") ++depth;
+      if ((s == ")" || s == "}" || s == "]") && --depth < 0) return;
+      if (s == ";" && depth == 0) return;
+      AddRef(i, /*from_def=*/-1, class_name);
     }
   }
 
@@ -181,6 +252,7 @@ class FileIndexer {
     range.last_line = close - 1 < toks_.size() ? Tok(close - 1).line
                                                : first_line;
     classes_.push_back(range);
+    if (!name.empty()) program_->class_names.insert(name);
     ParseDeclSeq(j + 1, close - 1, name);
     // A class body can be followed by declarators (`} g_instance;`) — the
     // decl-seq loop copes, nothing special needed.
@@ -307,6 +379,10 @@ class FileIndexer {
     def.line = name_line;
     AttachAnnotations(&def);
     program_->defs.push_back(std::move(def));
+    // Default arguments and the member-init list use names too.
+    for (std::size_t k = paren + 1; k < body_open; ++k) {
+      AddRef(k, def_index, cls);
+    }
     ParseBody(def_index, body_open + 1, body_close - 1, cls,
               /*inherited_guard=*/false);
     return body_close;
@@ -365,6 +441,7 @@ class FileIndexer {
         }
       }
       if (t.kind == TokKind::kIdentifier) {
+        AddRef(i, def_index, class_name);
         const bool prev_member =
             i > begin && (Is(i - 1, ".") || Is(i - 1, "->"));
         const bool next_call = Is(i + 1, "(");
@@ -487,6 +564,30 @@ class FileIndexer {
     return body_close;
   }
 
+  // --- name references ------------------------------------------------------
+
+  void AddRef(std::size_t i, int from_def, const std::string& class_name) {
+    NameRef ref;
+    if (!RefAt(toks_, i, &ref)) return;
+    ref.free_context = class_name.empty();
+    ref.from_def = from_def;
+    program_->refs.push_back(std::move(ref));
+  }
+
+  // Macro bodies call functions too (`PF_CHECK` expands to a call). A
+  // macro may expand inside a method, so its unqualified names may denote
+  // methods: free_context stays false.
+  void RecordMacroRefs() {
+    for (const Token& t : toks_) {
+      if (t.kind != TokKind::kPpDirective || t.text.empty()) continue;
+      const LexResult body = Lex(display_, t.text.substr(1));
+      for (std::size_t i = 0; i < body.tokens.size(); ++i) {
+        NameRef ref;
+        if (RefAt(body.tokens, i, &ref)) program_->refs.push_back(ref);
+      }
+    }
+  }
+
   void AddAlloc(int def_index, int line, std::string what) {
     program_->defs[def_index].allocs.push_back(
         AllocSite{line, std::move(what)});
@@ -551,8 +652,48 @@ std::vector<int> Program::Resolve(const CallSite& call) const {
   return out;
 }
 
+std::vector<int> Program::ResolveRef(const NameRef& ref) const {
+  std::vector<int> out;
+  if (ref.qualifier == "std") return out;
+  auto range = defs_by_name.equal_range(ref.name);
+  for (auto it = range.first; it != range.second; ++it) {
+    const bool method = !defs[it->second].class_name.empty();
+    if (ref.member && !method) continue;
+    if (ref.free_context && !ref.member && ref.qualifier.empty() && method) {
+      continue;
+    }
+    out.push_back(it->second);
+  }
+  if (!ref.qualifier.empty() && !out.empty()) {
+    std::vector<int> filtered;
+    for (int idx : out) {
+      if (defs[idx].class_name == ref.qualifier) filtered.push_back(idx);
+    }
+    if (!filtered.empty()) return filtered;
+  }
+  return out;
+}
+
+FileRole RoleOfPath(const std::string& relative_path) {
+  if (relative_path.rfind("src/", 0) == 0) return FileRole::kSource;
+  if (relative_path.rfind("tests/", 0) == 0) return FileRole::kTest;
+  return FileRole::kCaller;
+}
+
 void IndexFile(const std::string& display_path, const std::string& norm_path,
-               const LexResult& lexed, Program* program) {
+               const LexResult& lexed, FileRole role, Program* program) {
+  if (role != FileRole::kSource) {
+    // A caller tree adds name references and nothing else: its definitions
+    // and calls stay out of the graph the reachability rules walk.
+    Program scratch;
+    FileIndexer(display_path, norm_path, lexed, &scratch).Run();
+    for (NameRef& ref : scratch.refs) {
+      ref.from_def = -1;
+      ref.role = role;
+      program->refs.push_back(std::move(ref));
+    }
+    return;
+  }
   FilePragmas& fp = program->file_pragmas[display_path];
   fp.pragmas = lexed.pragmas;
   fp.annotations = lexed.annotations;

@@ -1,9 +1,13 @@
 // pafeat-analyze: cross-TU semantic stage of the in-house static analysis.
 //
 // Where pafeat-lint pattern-matches tokens file-by-file, this pass builds a
-// declaration/definition index and a call graph over the whole tree (default:
-// src/ relative to --root) and runs reachability rules that promote the
-// repo's runtime contracts to static, whole-program guarantees:
+// declaration/definition index and a call graph over src/ and runs rules that
+// promote the repo's runtime contracts to static, whole-program guarantees.
+// A file's path below --root decides its part: src/ files give definitions
+// and call edges; every other tree (tools/, examples/, bench/, bench_e2e/,
+// tests/) is indexed only for the names it references, so the reachability
+// rules see the src/ call graph alone. With no DIR_OR_FILE arguments all six
+// trees are indexed.
 //
 //   rng-escape              nothing reachable from a ParallelFor/Submit body
 //                           touches the shared root `rng_` (classes annotated
@@ -18,6 +22,11 @@
 //   pool-reentrancy         no nested pool submission (it degrades to inline
 //                           execution); the deliberate shard fan-out idiom
 //                           carries a justified pragma
+//   test-only-api           every function defined under src/ is named
+//                           (called, qualified or address-taken) by code
+//                           outside tests/; a reference oracle or test hook
+//                           that stays carries a pragma whose reason starts
+//                           "oracle for <Suite.Test>" or "test hook for ..."
 //
 // Deliberate exceptions reuse the token stage's pragma machinery:
 //   // lint: allow(<rule>): <justification>
@@ -76,9 +85,11 @@ void CollectFiles(const fs::path& target, std::vector<fs::path>* files) {
   files->insert(files->end(), found.begin(), found.end());
 }
 
-int AnalyzeFiles(const std::vector<fs::path>& files,
+int AnalyzeFiles(const fs::path& root, const std::vector<fs::path>& files,
                  const std::string& format) {
   Program program;
+  const fs::path abs_root = fs::absolute(root).lexically_normal();
+  std::size_t source_files = 0;
   for (const fs::path& path : files) {
     std::string content;
     if (!ReadFile(path, &content)) {
@@ -86,8 +97,12 @@ int AnalyzeFiles(const std::vector<fs::path>& files,
       return 2;
     }
     const std::string display = path.generic_string();
-    const std::string norm = fs::absolute(path).generic_string();
-    IndexFile(display, norm, Lex(norm, content), &program);
+    const fs::path abs = fs::absolute(path).lexically_normal();
+    const FileRole role =
+        RoleOfPath(abs.lexically_relative(abs_root).generic_string());
+    if (role == FileRole::kSource) ++source_files;
+    IndexFile(display, abs.generic_string(), Lex(abs.generic_string(), content),
+              role, &program);
   }
   FinalizeProgram(&program);
   const std::vector<Finding> findings = RunAnalyzeRules(program);
@@ -107,7 +122,8 @@ int AnalyzeFiles(const std::vector<fs::path>& files,
   }
   if (format == "human") {
     if (findings.empty()) {
-      std::cout << "pafeat-analyze: " << files.size() << " files, "
+      std::cout << "pafeat-analyze: " << source_files << " src files ("
+                << files.size() - source_files << " caller files), "
                 << program.defs.size() << " definitions, "
                 << program.calls.size() << " call sites — clean\n";
     } else {
@@ -381,17 +397,113 @@ int SelfTest() {
          "  ThreadPool::Global()->Submit([&] { Work(); });\n"
          "}\n"}},
        {}},
+      // --- test-only-api ---------------------------------------------------
+      {"test-only-api-used-only-from-tests",
+       {{"src/tensor/matrix.cc",
+         "Matrix Matrix::Identity(int n) { return Matrix(n, n); }\n"
+         "int Matrix::rows() const { return rows_; }\n"},
+        {"tests/matrix_test.cc",
+         "TEST(MatrixTest, Identity) { Matrix::Identity(3).rows(); }\n"},
+        {"examples/quickstart.cpp", "int main() { return m.rows(); }\n"}},
+       {"test-only-api"}},
+      {"test-only-api-no-caller",
+       {{"src/data/table.h",
+         "class Table {\n"
+         " public:\n"
+         "  Matrix& mutable_features() { return features_; }\n"
+         "};\n"}},
+       {"test-only-api"}},
+      {"test-only-api-example-and-bench-callers-ok",
+       {{"src/core/feat.cc",
+         "double Feat::Train(int iterations) { return 0.0; }\n"
+         "IterationStats Feat::RunIteration() { return {}; }\n"},
+        {"examples/quickstart.cpp",
+         "int main() { feat.Train(400); }\n"},
+        {"bench/bench_table2_timing.cc",
+         "void Run(Feat* feat) { feat->RunIteration(); }\n"}},
+       {}},
+      // Dispatch tables and &Class::Method name a function without calling
+      // it; both count as uses.
+      {"test-only-api-function-pointer-ok",
+       {{"src/tensor/kernels.cc",
+         "namespace avx2 { void GemmNN(int m) {} }\n"
+         "void GemmGeneric(int m) {}\n"
+         "void Scale(int m) {}\n"
+         "const Fn kFallback[] = {&Scale};\n"
+         "const Dispatch& Impl() {\n"
+         "  static Dispatch d = {avx2::GemmNN, &GemmGeneric};\n"
+         "  return d;\n"
+         "}\n"
+         "void Server::Start() { Launch(&Server::Loop); }\n"
+         "void Server::Loop() {}\n"},
+        {"tools/serve/pafeat_serve.cc",
+         "int main() { Impl(); server.Start(); }\n"}},
+       {}},
+      // A free function in a caller tree does not use a method of the same
+      // name, and a local that shares an accessor's name is not a use.
+      {"test-only-api-name-collisions-are-not-uses",
+       {{"src/tensor/matrix.cc",
+         "double Matrix::Mean() const { return 0.0; }\n"},
+        {"src/rl/fs_env.cc",
+         "Env::Env(std::vector<float> repr) : repr_(std::move(repr)) {}\n"
+         "const std::vector<float>& Env::repr() const { return repr_; }\n"},
+        {"bench_e2e/bench_e2e.cc",
+         "double Mean(const std::vector<double>& v) { return v[0]; }\n"
+         "int main() { Env env(Load()); std::vector<float> repr; "
+         "return Mean({}); }\n"}},
+       {"test-only-api", "test-only-api"}},
+      {"test-only-api-pragma",
+       {{"src/nn/mlp.cc",
+         "// lint: allow(test-only-api): oracle for MaskedInferenceTest.Match\n"
+         "void Mlp::PredictGatheredReference() {}\n"},
+        {"src/serve/selection_server.h",
+         "class SelectionServer {\n"
+         " public:\n"
+         "  // lint: allow(test-only-api): test hook for ServerTest.Swap\n"
+         "  void PauseServingForTest() {}\n"
+         "};\n"},
+        {"tests/masked_inference_test.cc",
+         "TEST(MaskedInferenceTest, Match) {\n"
+         "  mlp.PredictGatheredReference();\n"
+         "}\n"}},
+       {}},
+      {"test-only-api-pragma-needs-allowed-reason",
+       {{"src/nn/mlp.cc",
+         "// lint: allow(test-only-api): handy in tests\n"
+         "void Mlp::PredictGatheredReference() {}\n"}},
+       {"test-only-api"}},
+      // A test helper that shares a name with a hot-path callee adds no edge:
+      // indexed as src/, tests/driver_test.cc's allocating Encode would put
+      // an allocation on Driver::Step's path.
+      {"test-only-api-test-helper-adds-no-hot-path-edge",
+       {{"src/rl/driver.cc",
+         "// analyze: hot-path-root\n"
+         "void Driver::Step() { Encode(); }\n"
+         "void Encode() { obs[0] = 1.0f; }\n"},
+        {"tests/driver_test.cc",
+         "void Encode() { obs.push_back(1.0f); }\n"
+         "TEST(DriverTest, Step) { driver.Step(); Encode(); }\n"},
+        {"examples/quickstart.cpp", "int main() { driver.Step(); }\n"}},
+       {}},
   };
 
   int failures = 0;
   for (const SelfCase& c : cases) {
     Program program;
     for (const SelfFile& f : c.files) {
-      IndexFile(f.path, f.path, Lex(f.path, f.source), &program);
+      IndexFile(f.path, f.path, Lex(f.path, f.source), RoleOfPath(f.path),
+                &program);
     }
     FinalizeProgram(&program);
+    // The other rules' fixtures define functions that no caller file uses,
+    // so test-only-api findings count only in the cases written for it.
+    const bool test_only_case =
+        std::string(c.name).rfind("test-only-api", 0) == 0;
     std::vector<std::string> got;
-    for (const Finding& f : RunAnalyzeRules(program)) got.push_back(f.rule);
+    for (const Finding& f : RunAnalyzeRules(program)) {
+      if (f.rule == "test-only-api" && !test_only_case) continue;
+      got.push_back(f.rule);
+    }
     std::sort(got.begin(), got.end());
     std::vector<std::string> want = c.expected_rules;
     std::sort(want.begin(), want.end());
@@ -420,7 +532,7 @@ int Run(int argc, char** argv) {
     if (arg == "--self-test") return SelfTest();
     if (arg == "--list-rules") {
       std::cout << "rng-escape\nborrow-across-mutation\nhot-path-alloc\n"
-                   "pool-reentrancy\n";
+                   "pool-reentrancy\ntest-only-api\n";
       return 0;
     }
     if (arg == "--root" && i + 1 < argc) {
@@ -443,9 +555,11 @@ int Run(int argc, char** argv) {
       targets.push_back(arg);
     }
   }
-  // The semantic pass is whole-program: default to src/ (tests exercise the
-  // contracts dynamically and deliberately poke at internals).
-  if (targets.empty()) targets = {"src"};
+  // The semantic pass is whole-program: src/ plus every tree that may use
+  // it.
+  if (targets.empty()) {
+    targets = {"src", "tools", "examples", "bench", "bench_e2e", "tests"};
+  }
 
   std::vector<fs::path> files;
   for (const std::string& t : targets) {
@@ -457,7 +571,7 @@ int Run(int argc, char** argv) {
     }
     CollectFiles(p, &files);
   }
-  return AnalyzeFiles(files, format);
+  return AnalyzeFiles(root, files, format);
 }
 
 }  // namespace

@@ -430,14 +430,15 @@ void CheckIncludeGuard(const Ctx& ctx) {
 }  // namespace
 
 const std::vector<std::string>& KnownRules() {
-  // The last four ids belong to the semantic pass (pafeat-analyze); they are
+  // The last five ids belong to the semantic pass (pafeat-analyze); they are
   // known here so their `lint: allow` pragmas pass pragma hygiene when the
   // token stage lints a file that carries analyzer suppressions.
   static const std::vector<std::string> kRules = {
       kRandomness,    kRawThread,       kUnorderedIter,
       kRawAlloc,      kSingleRowQ,      kIntrinsics,
       kIncludeGuard,  kLintPragma,      "rng-escape",
-      "borrow-across-mutation", "hot-path-alloc", "pool-reentrancy"};
+      "borrow-across-mutation", "hot-path-alloc", "pool-reentrancy",
+      "test-only-api"};
   return kRules;
 }
 
@@ -480,7 +481,7 @@ std::vector<Finding> RunRules(const FileInput& file) {
           "known rules: randomness, raw-thread, unordered-iter, raw-alloc, "
           "single-row-q, intrinsics-only-in-kernel-tus, include-guard, "
           "rng-escape, borrow-across-mutation, hot-path-alloc, "
-          "pool-reentrancy"});
+          "pool-reentrancy, test-only-api"});
     } else if (p.justification.empty()) {
       kept.push_back(Finding{
           file.display_path, p.line, kLintPragma,

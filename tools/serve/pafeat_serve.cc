@@ -259,8 +259,13 @@ int Main(int argc, char** argv) {
                                    ? 0.0
                                    : stats.compute_us_sum / completed,
                                1)});
-  summary.AddRow({"queue-full rejects", std::to_string(stats.rejected_queue_full)});
-  summary.AddRow({"bad-request rejects", std::to_string(stats.rejected_bad_request)});
+  const auto rejects = [](AdmissionStatus status) {
+    return std::string(AdmissionStatusName(status)) + " rejects";
+  };
+  summary.AddRow({rejects(AdmissionStatus::kQueueFull),
+                  std::to_string(stats.rejected_queue_full)});
+  summary.AddRow({rejects(AdmissionStatus::kBadRequest),
+                  std::to_string(stats.rejected_bad_request)});
   summary.AddRow({"checkpoint swaps", std::to_string(stats.swaps_applied)});
   summary.AddRow({"net version", std::to_string(stats.net_version)});
   summary.AddRow({"mean features/task",
